@@ -27,8 +27,7 @@ from .errors import (
 from .generate import GeneralRates, GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import (
     DiscountedMdp,
-    HvagOrigin,
-    HvOrigin,
+    ReductionOrigin,
     build_hv,
     check_discounted,
     dump_discounted,
@@ -51,6 +50,7 @@ from .hvag import (
 )
 from .model import (
     ActionData,
+    PackedMdp,
     PolicyMatrices,
     RateClass,
     RateMdp,
@@ -93,7 +93,6 @@ from .solve import (
     value_iteration,
 )
 from .transience import (
-    DivergentIteration,
     HtCertificate,
     MuIterationResult,
     NegativeInverseEntry,
@@ -121,12 +120,9 @@ __all__ = [
     "AverageSolution",
     "CertificateError",
     "DiscountedMdp",
-    "DivergentIteration",
     "GeneralRates",
     "GenSpec",
     "HtCertificate",
-    "HvOrigin",
-    "HvagOrigin",
     "InstanceFormatError",
     "MuIterationResult",
     "NegativeInverseEntry",
@@ -135,10 +131,12 @@ __all__ = [
     "NotConvergedWithinBudget",
     "OccupationMeasure",
     "OracleResult",
+    "PackedMdp",
     "PolicyCapExceeded",
     "PolicyMatrices",
     "RateClass",
     "RateMdp",
+    "ReductionOrigin",
     "SingularSystem",
     "SingularSystemError",
     "SolveReport",

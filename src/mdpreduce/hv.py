@@ -18,9 +18,18 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import CertificateError, InstanceFormatError
-from .model import ActionData, RateMdp, instance_from_obj, instance_to_obj
+from .model import (
+    ActionData,
+    PackedMdp,
+    RateMdp,
+    _row_sums_in_order,
+    from_packed,
+    instance_from_obj,
+    instance_to_obj,
+)
 from .transience import CERT_SLACK, TransienceCertificate, certificate_residual
 
 #: Transformed probabilities in [-1e-12, 0) are treated as round-off,
@@ -32,28 +41,22 @@ ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class HvOrigin:
-    """Back-mapping metadata of a total-cost reduction."""
+class ReductionOrigin:
+    """Back-mapping metadata of a reduction: the certificate ``mu`` and, for
+    the average-cost reduction, the distinguished state ``ell``."""
 
     mu: np.ndarray
+    ell: int | None = None
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float)
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
 
-
-@dataclass(frozen=True)
-class HvagOrigin:
-    """Back-mapping metadata of an average-cost reduction."""
-
-    mu: np.ndarray
-    ell: int
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float)
-        mu.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
+    @property
+    def kind(self) -> str:
+        """``"hv"`` for the total-cost reduction, ``"hvag"`` for the average-cost one."""
+        return "hv" if self.ell is None else "hvag"
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,7 @@ class DiscountedMdp:
     base: RateMdp
     absorbing_state: int
     beta: float
-    origin: HvOrigin | HvagOrigin | None = None
+    origin: ReductionOrigin | None = None
 
     @property
     def n_states(self) -> int:
@@ -73,81 +76,149 @@ class DiscountedMdp:
 
 def check_discounted(dmdp: DiscountedMdp) -> None:
     """Raise ValueError unless every DiscountedMdp invariant holds:
-    probability rows (nonnegative, summing to 1 within 1e-12), a single
-    cost-free absorbing action at the absorbing state, beta in [0, 1).
-    """
+    probability rows (a valid rate MDP, so nonnegative, summing to 1 within
+    1e-12), a single cost-free absorbing action at the absorbing state,
+    beta in [0, 1)."""
     base = dmdp.base
     if not 0.0 <= dmdp.beta < 1.0:
         raise ValueError(f"discount factor {dmdp.beta} outside [0, 1)")
     if not 0 <= dmdp.absorbing_state < base.n_states:
         raise ValueError(f"absorbing state {dmdp.absorbing_state} out of range")
-    for x, acts in enumerate(base.actions):
-        for a, act in enumerate(acts):
-            total = 0.0
-            for y, p in act.transitions:
-                if p < 0.0:
-                    raise ValueError(
-                        f"negative probability {p} at ({x}, {base.action_name(x, a)}, {y})"
-                    )
-                total += p
-            if abs(total - 1.0) > ROW_TOL:
-                raise ValueError(
-                    f"row ({x}, {base.action_name(x, a)}) sums to {total!r}, not 1"
-                )
-    sink = base.actions[dmdp.absorbing_state]
-    if len(sink) != 1 or sink[0].cost != 0.0:
+    table = base.packed
+    sums = table.row_sums()
+    bad_sum = np.flatnonzero(np.abs(sums - 1.0) > ROW_TOL)
+    if bad_sum.size:
+        r = int(bad_sum[0])
+        x, a = int(table.owner[r]), int(table.local[r])
+        raise ValueError(
+            f"row ({x}, {base.action_name(x, a)}) sums to {float(sums[r])!r}, not 1"
+        )
+    sink = dmdp.absorbing_state
+    row = table.first[sink]
+    if table.first[sink + 1] - row != 1 or table.c[row] != 0.0:
         raise ValueError("absorbing state must have exactly one cost-free action")
-    if abs(sink[0].rate_to(dmdp.absorbing_state) - 1.0) > ROW_TOL:
+    if abs(table.R[row, sink] - 1.0) > ROW_TOL:
         raise ValueError("absorbing state must transition to itself with probability 1")
 
 
-def _clamped_row(entries, location: str):
-    """Clamp round-off negatives to zero and renormalize when needed."""
-    clamped = False
-    row = []
-    for y, p in entries:
-        if p < -CLAMP_TOL:
-            raise CertificateError(
-                f"transformed probability {p:.3e} at {location} is genuinely "
-                f"negative; the certificate does not fit this instance"
-            )
-        if p < 0.0:
-            p, clamped = 0.0, True
-        if p != 0.0:
-            row.append((y, p))
-    if clamped:
-        total = sum(p for _, p in row)
-        row = [(y, p / total) for y, p in row]
-    return tuple(row)
-
-
-def _check_certificate(mdp: RateMdp, mu: np.ndarray, bound: float, exclude=None):
+def admissible_beta(
+    mdp: RateMdp, mu: np.ndarray, K: float, beta: float | None, ell: int | None = None
+) -> float:
+    """Check the certificate ``mu`` (of the instance truncated at ``ell``,
+    when given) and return ``beta``, by default (K - 1)/K, the smallest
+    admissible discount factor.  Raises CertificateError when ``mu`` does
+    not fit the instance and ValueError when ``beta`` lies outside
+    [(K - 1)/K, 1)."""
     if len(mu) != mdp.n_states:
         raise CertificateError(
             f"certificate has {len(mu)} entries for {mdp.n_states} states"
         )
-    if np.any(mu < 1.0 - CERT_SLACK) or np.any(mu > bound + CERT_SLACK):
+    if np.any(mu < 1.0 - CERT_SLACK) or np.any(mu > K + CERT_SLACK):
         raise CertificateError("certificate mu outside [1, K]")
-    violation = certificate_residual(mdp, mu, exclude=exclude)
+    violation = certificate_residual(mdp, mu, exclude=ell)
     if violation > CERT_SLACK:
         raise CertificateError(
             f"certificate inequality violated by {violation:.3g}"
         )
+    low = (K - 1.0) / K
+    beta = low if beta is None else float(beta)
+    if beta < low or beta >= 1.0:
+        raise ValueError(
+            f"discount factor {beta} outside the admissible interval [{low}, 1)"
+        )
+    return beta
 
 
-def _absorbing_label(labels):
-    if labels is None:
-        return None
-    label = "sink"
-    while label in labels:
-        label += "~"
-    return label
+def rescale(
+    mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None = None
+) -> DiscountedMdp:
+    """The discounted instance of either reduction, for a certificate ``mu``
+    and a discount factor ``beta`` that :func:`admissible_beta` accepted.
+
+    Costs become c/mu and rates D(1/(beta mu)) Q D(mu), without the rates
+    into ``ell`` when it is given.  Each row keeps its targets in order,
+    then (with ``ell``) the lifetime surplus into ``ell``, then the sink.
+    At beta = 0 every row goes straight to the sink.  Probabilities that
+    are exactly zero are dropped; those in [-1e-12, 0) are round-off,
+    clamped to zero with their row renormalized; anything more negative
+    raises CertificateError.  The result passes :func:`check_discounted`.
+    """
+    names = [act.name for acts in mdp.actions for act in acts] + [None]
+    dmdp = DiscountedMdp(
+        base=from_packed(
+            _rescaled_table(mdp, mu, beta, ell), names, _extend_labels(mdp.state_labels)
+        ),
+        absorbing_state=mdp.n_states,
+        beta=beta,
+        origin=ReductionOrigin(mu=mu, ell=ell),
+    )
+    check_discounted(dmdp)
+    return dmdp
+
+
+def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
+    table = mdp.packed if ell is None else mdp.packed.without_column(ell)
+    n, m = mdp.n_states, len(table.c)
+    R = table.R if beta else sparse.csr_matrix((m, n))  # at beta = 0 only the sink
+    mu_x, lengths = mu[table.owner], np.diff(R.indptr)
+    denom = beta * mu_x
+    moved = mu[R.indices]
+    moved *= R.data
+    if beta and ell is not None:
+        surplus = mu_x - 1.0 - table.row_sums(moved)
+    moved /= np.repeat(denom, lengths)
+    if not beta:
+        tails = [(n, np.ones(m))]
+    elif ell is None:
+        tails = [(n, 1.0 - table.row_sums(moved))]
+    else:
+        tails = [(ell, surplus / denom), (n, 1.0 - (mu_x - 1.0) / denom)]
+
+    # row r: its own entries, then one per tail; the sink's row comes last
+    k = len(tails)
+    indptr = np.zeros(m + 2, dtype=np.intp)
+    np.cumsum(lengths + k, out=indptr[1:-1])
+    indptr[-1] = indptr[-2] + 1
+    targets = np.full(indptr[-1], n, dtype=R.indices.dtype)
+    probs = np.ones(indptr[-1])
+    own = np.ones(indptr[-1], dtype=bool)
+    own[-1] = False
+    for i, (target, p) in enumerate(tails):
+        at = indptr[1:-1] - k + i
+        targets[at], probs[at], own[at] = target, p, False
+    targets[own], probs[own] = R.indices, moved
+
+    negative = np.flatnonzero(probs < -CLAMP_TOL)
+    if negative.size:
+        i = negative[0]
+        row = np.searchsorted(indptr, i, side="right") - 1
+        x, a = int(table.owner[row]), int(table.local[row])
+        raise CertificateError(
+            f"transformed probability {probs[i]:.3e} at ({x}, {mdp.action_name(x, a)}) "
+            f"is genuinely negative; the certificate does not fit this instance"
+        )
+    keep = probs > 0.0
+    if not keep.all():
+        clamped = np.add.reduceat(probs < 0.0, indptr[:-1], dtype=np.intp) > 0
+        counts = np.add.reduceat(keep, indptr[:-1], dtype=np.intp)
+        targets, probs = targets[keep], probs[keep]
+        np.cumsum(counts, out=indptr[1:])
+        if clamped.any():
+            row_of = np.repeat(np.arange(m + 1), counts)
+            totals = _row_sums_in_order(probs, indptr)
+            probs = np.where(clamped[row_of], probs / totals[row_of], probs)
+
+    P = sparse.csr_matrix((probs, targets, indptr), shape=(m + 1, n + 1))
+    return PackedMdp(np.append(table.c / mu_x, 0.0), P, np.append(table.first, m + 1))
 
 
 def _extend_labels(labels):
     if labels is None:
         return None
-    return tuple(labels) + (_absorbing_label(labels),)
+    label = "sink"
+    while label in labels:
+        label += "~"
+    return tuple(labels) + (label,)
 
 
 def build_hv(
@@ -162,49 +233,7 @@ def build_hv(
     consults.
     """
     mu = np.asarray(cert.mu, dtype=float)
-    _check_certificate(mdp, mu, cert.K)
-    low = (cert.K - 1.0) / cert.K
-    if beta is None:
-        beta = low
-    beta = float(beta)
-    if beta < low or beta >= 1.0:
-        raise ValueError(
-            f"discount factor {beta} outside the admissible interval [{low}, 1)"
-        )
-
-    n = mdp.n_states
-    sink = n
-    new_actions = []
-    for x, acts in enumerate(mdp.actions):
-        entry = []
-        for a, act in enumerate(acts):
-            cost = act.cost / mu[x]
-            if beta == 0.0:
-                transitions = ((sink, 1.0),)
-            else:
-                denom = beta * mu[x]
-                probs = [(y, r * mu[y] / denom) for y, r in act.transitions]
-                p_sink = 1.0 - sum(p for _, p in probs)
-                transitions = _clamped_row(
-                    probs + [(sink, p_sink)],
-                    f"({x}, {mdp.action_name(x, a)})",
-                )
-            entry.append(ActionData(cost=cost, transitions=transitions, name=act.name))
-        new_actions.append(tuple(entry))
-    new_actions.append((ActionData(cost=0.0, transitions=((sink, 1.0),)),))
-
-    dmdp = DiscountedMdp(
-        base=RateMdp(
-            n_states=n + 1,
-            actions=tuple(new_actions),
-            state_labels=_extend_labels(mdp.state_labels),
-        ),
-        absorbing_state=sink,
-        beta=beta,
-        origin=HvOrigin(mu=mu),
-    )
-    check_discounted(dmdp)
-    return dmdp
+    return rescale(mdp, mu, admissible_beta(mdp, mu, cert.K, beta))
 
 
 def lift_total_value(dv: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -231,23 +260,10 @@ def total_optimal_actions(mdp: RateMdp, v: np.ndarray, tol: float):
     An empty set at some state means ``v`` is not the total-cost value
     function at this tolerance, which is an error.
     """
+    table = mdp.packed
     v = np.asarray(v, dtype=float)
-    sets = []
-    for x, acts in enumerate(mdp.actions):
-        members = []
-        for a, act in enumerate(acts):
-            value = act.cost
-            for y, rate in act.transitions:
-                value += rate * v[y]
-            if abs(v[x] - value) <= tol:
-                members.append(a)
-        if not members:
-            raise ValueError(
-                f"no action within {tol} at state {x}; v does not solve the "
-                f"total-cost optimality equation at this tolerance"
-            )
-        sets.append(tuple(members))
-    return sets
+    gap = v[table.owner] - table.c - table.R @ v
+    return table.action_sets(gap, tol, "total-cost optimality equation")
 
 
 def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
@@ -293,16 +309,12 @@ def discounted_to_obj(dmdp: DiscountedMdp) -> dict:
         "beta": dmdp.beta,
         "absorbing_state": dmdp.absorbing_state,
     }
-    if isinstance(dmdp.origin, HvOrigin):
-        header["origin"] = {"kind": "hv", "mu": list(dmdp.origin.mu)}
-    elif isinstance(dmdp.origin, HvagOrigin):
-        header["origin"] = {
-            "kind": "hvag",
-            "mu": list(dmdp.origin.mu),
-            "ell": dmdp.origin.ell,
-        }
-    else:
-        header["origin"] = None
+    origin = dmdp.origin
+    header["origin"] = None
+    if origin is not None:
+        header["origin"] = {"kind": origin.kind, "mu": list(origin.mu)}
+        if origin.ell is not None:
+            header["origin"]["ell"] = origin.ell
     obj["discounted"] = header
     return obj
 
@@ -324,19 +336,19 @@ def discounted_from_obj(obj) -> DiscountedMdp:
         if key not in header:
             raise InstanceFormatError(f"missing field '{key}' in 'discounted' header")
     raw_origin = header["origin"]
-    origin: HvOrigin | HvagOrigin | None
+    origin: ReductionOrigin | None
     if raw_origin is None:
         origin = None
     elif isinstance(raw_origin, dict) and raw_origin.get("kind") == "hv":
         if set(raw_origin) != {"kind", "mu"}:
             raise InstanceFormatError("hv origin must carry exactly 'kind' and 'mu'")
-        origin = HvOrigin(mu=np.asarray(raw_origin["mu"], dtype=float))
+        origin = ReductionOrigin(mu=np.asarray(raw_origin["mu"], dtype=float))
     elif isinstance(raw_origin, dict) and raw_origin.get("kind") == "hvag":
         if set(raw_origin) != {"kind", "mu", "ell"}:
             raise InstanceFormatError(
                 "hvag origin must carry exactly 'kind', 'mu' and 'ell'"
             )
-        origin = HvagOrigin(
+        origin = ReductionOrigin(
             mu=np.asarray(raw_origin["mu"], dtype=float), ell=int(raw_origin["ell"])
         )
     else:

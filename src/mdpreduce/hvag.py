@@ -26,15 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AcoeResidualError
-from .hv import (
-    DiscountedMdp,
-    HvagOrigin,
-    _check_certificate,
-    _clamped_row,
-    _extend_labels,
-    check_discounted,
-)
-from .model import ActionData, RateClass, RateMdp, classify_rates
+from .hv import DiscountedMdp, admissible_beta, rescale
+from .model import RateClass, RateMdp, classify_rates
 from .transience import HtCertificate, check_ht
 
 
@@ -78,55 +71,8 @@ def build_hvag(
     probability >= alpha into ``ell``.
     """
     mu = np.asarray(cert.mu, dtype=float)
-    ell = cert.ell
-    _check_certificate(mdp, mu, cert.K_star, exclude=ell)
-    low = (cert.K_star - 1.0) / cert.K_star
-    if beta is None:
-        beta = low
-    beta = float(beta)
-    if beta < low or beta >= 1.0:
-        raise ValueError(
-            f"discount factor {beta} outside the admissible interval [{low}, 1)"
-        )
-
-    n = mdp.n_states
-    sink = n
-    new_actions = []
-    for x, acts in enumerate(mdp.actions):
-        entry = []
-        for a, act in enumerate(acts):
-            cost = act.cost / mu[x]
-            if beta == 0.0:
-                transitions = ((sink, 1.0),)
-            else:
-                denom = beta * mu[x]
-                probs = [
-                    (y, r * mu[y] / denom) for y, r in act.transitions if y != ell
-                ]
-                surplus = mu[x] - 1.0 - sum(
-                    r * mu[y] for y, r in act.transitions if y != ell
-                )
-                probs.append((ell, surplus / denom))
-                probs.append((sink, 1.0 - (mu[x] - 1.0) / denom))
-                transitions = _clamped_row(
-                    probs, f"({x}, {mdp.action_name(x, a)})"
-                )
-            entry.append(ActionData(cost=cost, transitions=transitions, name=act.name))
-        new_actions.append(tuple(entry))
-    new_actions.append((ActionData(cost=0.0, transitions=((sink, 1.0),)),))
-
-    dmdp = DiscountedMdp(
-        base=RateMdp(
-            n_states=n + 1,
-            actions=tuple(new_actions),
-            state_labels=_extend_labels(mdp.state_labels),
-        ),
-        absorbing_state=sink,
-        beta=beta,
-        origin=HvagOrigin(mu=mu, ell=ell),
-    )
-    check_discounted(dmdp)
-    return dmdp
+    beta = admissible_beta(mdp, mu, cert.K_star, beta, ell=cert.ell)
+    return rescale(mdp, mu, beta, ell=cert.ell)
 
 
 def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolution:
@@ -149,33 +95,14 @@ def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolu
 
 def acoe_residuals(mdp: RateMdp, sol: AverageSolution) -> np.ndarray:
     """Per-state residuals w + h(x) - min_a [c(x,a) + sum q(y|x,a) h(y)]."""
-    h = sol.h
-    residuals = np.empty(mdp.n_states)
-    for x, acts in enumerate(mdp.actions):
-        best = np.inf
-        for act in acts:
-            value = act.cost
-            for y, rate in act.transitions:
-                value += rate * h[y]
-            best = min(best, value)
-        residuals[x] = sol.w + h[x] - best
-    return residuals
+    table = mdp.packed
+    return sol.w + sol.h - table.state_min(table.c + table.R @ sol.h)
 
 
 def average_optimal_actions(mdp: RateMdp, sol: AverageSolution, tol: float):
     """Per-state sets {a : |w + h(x) - c(x,a) - sum q(y|x,a) h(y)| <= tol}."""
-    h = sol.h
-    sets = []
-    for x, acts in enumerate(mdp.actions):
-        members = []
-        for a, act in enumerate(acts):
-            value = act.cost
-            for y, rate in act.transitions:
-                value += rate * h[y]
-            if abs(sol.w + h[x] - value) <= tol:
-                members.append(a)
-        sets.append(tuple(members))
-    return sets
+    table = mdp.packed
+    return table.action_sets(sol.w + sol.h[table.owner] - table.c - table.R @ sol.h, tol)
 
 
 def verify_acoe(

@@ -1,9 +1,13 @@
 """Core data types for rate MDPs: validation, policy algebra, instance I/O.
 
 A rate MDP is a finite MDP whose transitions carry nonnegative *rates*
-rather than probabilities; row sums may be anything finite.  Rates are
-stored sparsely per action and dense matrices are only materialized per
-policy, which is what the small dense solvers downstream want.
+rather than probabilities; row sums may be anything finite.  Instances are
+built, read and written as tuples of :class:`ActionData`.  Everything that
+computes works on one packed table instead (:class:`PackedMdp`): the
+state-action rows in state-major order, their costs ``c`` and their rates
+as an m x n sparse matrix ``R``.  A Bellman-type step is then ``c + R @ v``
+followed by a minimum or maximum over each state's rows.  The table is
+built and validated once, on first use, and cached on the instance.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -15,9 +19,11 @@ import enum
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
+from scipy import sparse
 
 from .errors import InstanceFormatError, PolicyCapExceeded
 
@@ -99,10 +105,16 @@ class RateMdp:
         """Total number of state-action pairs (the LP's ``m``)."""
         return sum(len(acts) for acts in self.actions)
 
-    def state_action_pairs(self):
-        for x, acts in enumerate(self.actions):
-            for a in range(len(acts)):
-                yield x, a
+    @property
+    def packed(self) -> PackedMdp:
+        """The packed table of the instance, built and validated on first
+        use.  Raises ValueError with :func:`validate`'s message when the
+        instance breaks an invariant."""
+        table = self.__dict__.get("_packed")
+        if table is None:
+            table = _pack(self)
+            object.__setattr__(self, "_packed", table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -130,6 +142,149 @@ class PolicyMatrices:
 
     Q: np.ndarray
     c: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class PackedMdp:
+    """The state-action rows of an instance, state-major, action-minor.
+
+    ``c`` (m,) holds the costs and ``R`` the rates as an m x n CSR matrix
+    whose row entries keep the instance's transition order.  ``owner`` (m,)
+    is the state of each row, ``local`` its action index at that state, and
+    ``first`` (n + 1,) the first row of each state, with ``first[n] = m``.
+    """
+
+    c: np.ndarray
+    R: sparse.csr_matrix
+    first: np.ndarray
+    owner: np.ndarray = field(init=False)
+    local: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        owner = np.repeat(np.arange(len(self.first) - 1), np.diff(self.first))
+        object.__setattr__(self, "owner", owner)
+        object.__setattr__(self, "local", np.arange(len(self.c)) - self.first[owner])
+
+    def state_min(self, q: np.ndarray) -> np.ndarray:
+        """Minimum of ``q`` (m,) over each state's rows."""
+        return np.minimum.reduceat(q, self.first[:-1])
+
+    def state_argmin(self, q: np.ndarray):
+        """Per-state minimum of ``q`` and the lowest action index attaining it."""
+        low = self.state_min(q)
+        rows = np.where(q == low[self.owner], np.arange(len(q)), len(q))
+        return low, self.local[np.minimum.reduceat(rows, self.first[:-1])]
+
+    def action_sets(self, gap: np.ndarray, tol: float, equation: str | None = None):
+        """Per state, the action indices of the rows with |gap| <= tol.  With
+        ``equation`` named, a state left without one raises ValueError."""
+        hits = np.flatnonzero(np.abs(gap) <= tol)
+        groups = np.split(self.local[hits], np.searchsorted(hits, self.first[1:-1]))
+        empty = [x for x, group in enumerate(groups) if not group.size]
+        if equation is not None and empty:
+            raise ValueError(
+                f"no action within {tol} at state {empty[0]}; v does not solve the "
+                f"{equation} at this tolerance"
+            )
+        return [tuple(group.tolist()) for group in groups]
+
+    def rows(self, phi) -> np.ndarray:
+        """The row of each state's action under ``phi``."""
+        choice = np.asarray(tuple(phi), dtype=np.intp)
+        counts = np.diff(self.first)
+        if len(choice) != len(counts):
+            raise ValueError(f"policy has {len(choice)} entries for {len(counts)} states")
+        bad = np.flatnonzero((choice < 0) | (choice >= counts))
+        if bad.size:
+            x = int(bad[0])
+            raise ValueError(
+                f"action index {choice[x]} out of range at state {x} "
+                f"({counts[x]} actions)"
+            )
+        return self.first[:-1] + choice
+
+    def policy(self, phi) -> PolicyMatrices:
+        """Dense transition matrix and cost vector of the policy ``phi``."""
+        rows = self.rows(phi)
+        return PolicyMatrices(Q=self.R[rows].toarray(), c=self.c[rows])
+
+    def without_column(self, ell: int) -> PackedMdp:
+        """The same table with every rate into state ``ell`` set to zero."""
+        R = self.R.copy()
+        R.data[R.indices == ell] = 0.0
+        return PackedMdp(self.c, R, self.first)
+
+    def row_sums(self, data: np.ndarray | None = None) -> np.ndarray:
+        """Sum of each row of ``R`` (or of ``data`` laid out like ``R.data``),
+        added left to right in transition order, as Python's ``sum`` did
+        before 3.12.  Transformed files and the stochastic classification
+        depend on the last digit of these sums."""
+        return _row_sums_in_order(self.R.data if data is None else data, self.R.indptr)
+
+
+def _row_sums_in_order(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    # cumsum adds strictly left to right; np.add.reduce sums pairwise.  The
+    # last column is always padding, so an empty row sums to 0.0.
+    lengths = np.diff(indptr)
+    padded = np.zeros((len(lengths), int(lengths.max(initial=0)) + 1))
+    padded[np.arange(padded.shape[1]) < lengths[:, None]] = data
+    return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()
+
+
+def _pack(mdp: RateMdp) -> PackedMdp:
+    n = mdp.n_states
+    rows = [act for acts in mdp.actions for act in acts]
+    counts = np.array([len(acts) for acts in mdp.actions], dtype=np.intp)
+    lengths = np.array([len(act.transitions) for act in rows], dtype=np.intp)
+    c = np.array([act.cost for act in rows], dtype=float)
+
+    def entries(field: int, dtype):
+        pairs = itertools.chain.from_iterable(act.transitions for act in rows)
+        return np.fromiter(map(itemgetter(field), pairs), dtype=dtype, count=int(lengths.sum()))
+
+    rates, targets = entries(1, float), entries(0, np.int64)
+    labels = mdp.state_labels
+    ok = (
+        isinstance(n, int)
+        and 1 <= n == len(mdp.actions)
+        and (labels is None or len(labels) == len(set(labels)) == n)
+        and bool(np.all(counts > 0))
+        and bool(np.all(np.isfinite(c)))
+        and bool(np.all((targets >= 0) & (targets < n)))
+        and bool(np.all(np.isfinite(rates)) and np.all(rates >= 0.0))
+    )
+    if ok:
+        keys = np.repeat(np.arange(len(rows)) * n, lengths)
+        keys += targets
+        keys.sort()
+        ok = not np.any(keys[1:] == keys[:-1])
+    if not ok:
+        raise ValueError(_first_violation(mdp))
+    first = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(lengths, out=indptr[1:])
+    R = sparse.csr_matrix((rates, targets, indptr), shape=(len(rows), n))
+    return PackedMdp(c, R, first)
+
+
+def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
+    """The instance whose packed table is ``table``, with ``names[r]`` the
+    name of row ``r`` (or None).  The table is cached on the result."""
+    targets, rates = table.R.indices.tolist(), table.R.data.tolist()
+    bounds = table.R.indptr.tolist()
+    rows = [
+        ActionData(cost=cost, transitions=tuple(zip(targets[lo:hi], rates[lo:hi])), name=name)
+        for cost, lo, hi, name in zip(table.c.tolist(), bounds, bounds[1:], names)
+    ]
+    first = table.first.tolist()
+    mdp = RateMdp(
+        n_states=len(first) - 1,
+        actions=tuple(tuple(rows[lo:hi]) for lo, hi in zip(first, first[1:])),
+        state_labels=state_labels,
+    )
+    object.__setattr__(mdp, "_packed", table)
+    return mdp
 
 
 @dataclass(frozen=True)
@@ -177,17 +332,11 @@ def _first_violation(mdp: RateMdp) -> str | None:
     return None
 
 
-def _row_sums(mdp: RateMdp):
-    for acts in mdp.actions:
-        for act in acts:
-            yield act.row_sum()
-
-
 def _classify(sums) -> RateClass:
-    sums = list(sums)
-    if sums and all(abs(s - 1.0) <= ROW_SUM_TOL for s in sums):
+    sums = np.asarray(sums, dtype=float)
+    if sums.size and np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
         return RateClass.STOCHASTIC
-    if sums and all(s <= 1.0 + ROW_SUM_TOL for s in sums):
+    if sums.size and np.all(sums <= 1.0 + ROW_SUM_TOL):
         return RateClass.SUBSTOCHASTIC
     return RateClass.GENERAL_RATES
 
@@ -200,7 +349,7 @@ def validate(mdp: RateMdp) -> ValidationReport:
     whether or not the instance is valid.
     """
     error = _first_violation(mdp)
-    sums = list(_row_sums(mdp))
+    sums = [act.row_sum() for acts in mdp.actions for act in acts]
     max_row_sum = max(sums) if sums else 0.0
     return ValidationReport(
         ok=error is None,
@@ -213,28 +362,12 @@ def validate(mdp: RateMdp) -> ValidationReport:
 def classify_rates(mdp: RateMdp) -> RateClass:
     """Stochastic (all row sums 1 within 1e-12), substochastic (all <= 1 + 1e-12),
     or general rates."""
-    return _classify(_row_sums(mdp))
+    return _classify(mdp.packed.row_sums())
 
 
 def policy_matrices(mdp: RateMdp, phi: StationaryPolicy) -> PolicyMatrices:
     """Assemble the dense transition matrix and cost vector of ``phi``."""
-    n = mdp.n_states
-    if len(phi) != n:
-        raise ValueError(f"policy has {len(phi)} entries for {n} states")
-    Q = np.zeros((n, n))
-    c = np.zeros(n)
-    for x in range(n):
-        a = phi[x]
-        if not 0 <= a < mdp.n_actions(x):
-            raise ValueError(
-                f"action index {a} out of range at state {x} "
-                f"({mdp.n_actions(x)} actions)"
-            )
-        act = mdp.actions[x][a]
-        c[x] = act.cost
-        for y, rate in act.transitions:
-            Q[x, y] = rate
-    return PolicyMatrices(Q=Q, c=c)
+    return mdp.packed.policy(phi)
 
 
 def count_policies(mdp: RateMdp) -> int:

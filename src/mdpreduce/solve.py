@@ -18,11 +18,12 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import _linalg
 from .errors import NotConvergedWithinBudget
-from .hv import DiscountedMdp
-from .model import StationaryPolicy, policy_matrices
+from .hv import DiscountedMdp, check_discounted
+from .model import PackedMdp, StationaryPolicy, policy_matrices
 
 #: Strict-improvement threshold for policy iteration; avoids cycling under
 #: floating-point ties.
@@ -74,30 +75,9 @@ class OccupationMeasure:
         return residual
 
 
-def _state_tables(dmdp: DiscountedMdp):
-    """Per-state dense action tables: costs (k,) and transition rows (k, n)."""
-    n = dmdp.n_states
-    tables = []
-    for acts in dmdp.base.actions:
-        costs = np.array([act.cost for act in acts])
-        P = np.zeros((len(acts), n))
-        for a, act in enumerate(acts):
-            for y, p in act.transitions:
-                P[a, y] = p
-        tables.append((costs, P))
-    return tables
-
-
-def _bellman(tables, beta: float, v: np.ndarray):
+def _bellman(table: PackedMdp, beta: float, v: np.ndarray):
     """One application of the optimality operator; returns (Tv, greedy)."""
-    tv = np.empty(len(tables))
-    greedy = np.empty(len(tables), dtype=int)
-    for x, (costs, P) in enumerate(tables):
-        q = costs + beta * (P @ v)
-        a = int(np.argmin(q))
-        tv[x] = q[a]
-        greedy[x] = a
-    return tv, greedy
+    return table.state_argmin(table.c + beta * (table.R @ v))
 
 
 def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
@@ -121,27 +101,14 @@ def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
     An empty set at some state means ``v`` does not solve the optimality
     equation at this tolerance, which is an error.
     """
+    table = dmdp.base.packed
     v = np.asarray(v, dtype=float)
-    sets = []
-    for x, acts in enumerate(dmdp.base.actions):
-        members = []
-        for a, act in enumerate(acts):
-            q = act.cost
-            for y, p in act.transitions:
-                q += dmdp.beta * p * v[y]
-            if abs(v[x] - q) <= tol:
-                members.append(a)
-        if not members:
-            raise ValueError(
-                f"no action within {tol} at state {x}; v does not solve the "
-                f"optimality equation at this tolerance"
-            )
-        sets.append(tuple(members))
-    return sets
+    gap = v[table.owner] - table.c - dmdp.beta * (table.R @ v)
+    return table.action_sets(gap, tol, "optimality equation")
 
 
-def _finish(dmdp, tables, v, phi_choice, iterations, method, action_tol, started):
-    tv, _ = _bellman(tables, dmdp.beta, v)
+def _finish(dmdp, table, v, phi_choice, iterations, method, action_tol, started):
+    tv, _ = _bellman(table, dmdp.beta, v)
     residual = float(np.max(np.abs(tv - v)))
     sets = tuple(optimal_actions(dmdp, v, action_tol))
     assert all(a in sets[x] for x, a in enumerate(phi_choice)), (
@@ -173,12 +140,13 @@ def value_iteration(
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    tables = _state_tables(dmdp)
+    check_discounted(dmdp)
+    table = dmdp.base.packed
     v = np.zeros(dmdp.n_states) if v0 is None else np.asarray(v0, dtype=float)
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     previous_delta = None
     for iteration in range(1, max_iter + 1):
-        tv, greedy = _bellman(tables, beta, v)
+        tv, greedy = _bellman(table, beta, v)
         delta = float(np.max(np.abs(tv - v)))
         if previous_delta is not None:
             assert delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15, (
@@ -187,7 +155,7 @@ def value_iteration(
         v, previous_delta = tv, delta
         if delta <= threshold:
             return _finish(
-                dmdp, tables, v, greedy, iteration, "value-iteration",
+                dmdp, table, v, greedy.tolist(), iteration, "value-iteration",
                 action_tol, started,
             )
     raise NotConvergedWithinBudget(
@@ -207,28 +175,22 @@ def howard_pi(
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    tables = _state_tables(dmdp)
+    check_discounted(dmdp)
+    table = dmdp.base.packed
     phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
     v = policy_evaluate(dmdp, phi)
     iterations = 0
     while True:
         iterations += 1
-        improved = False
-        new_choice = []
-        for x, (costs, P) in enumerate(tables):
-            q = costs + beta * (P @ v)
-            best = int(np.argmin(q))
-            if q[best] < q[phi[x]] - IMPROVE_TOL:
-                new_choice.append(best)
-                improved = True
-            else:
-                new_choice.append(phi[x])
-        if not improved:
+        q = table.c + beta * (table.R @ v)
+        low, best = table.state_argmin(q)
+        switch = low < q[table.rows(phi)] - IMPROVE_TOL
+        if not switch.any():
             return _finish(
-                dmdp, tables, v, tuple(phi), iterations, "howard-pi",
+                dmdp, table, v, tuple(phi), iterations, "howard-pi",
                 action_tol, started,
             )
-        phi = StationaryPolicy(tuple(new_choice))
+        phi = StationaryPolicy(tuple(np.where(switch, best, phi.choice).tolist()))
         v_next = policy_evaluate(dmdp, phi)
         assert np.all(v_next <= v + 1e-9), "policy iteration must not increase values"
         v = v_next
@@ -248,25 +210,18 @@ def dantzig_pi(
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    tables = _state_tables(dmdp)
+    check_discounted(dmdp)
+    table = dmdp.base.packed
     phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
     v = policy_evaluate(dmdp, phi)
     switches = 0
-    total_actions = dmdp.base.n_state_actions
-    cap = max_switches if max_switches is not None else 10_000 + 100 * total_actions**2
+    cap = max_switches if max_switches is not None else 10_000 + 100 * len(table.c) ** 2
     while True:
-        best_pair = None
-        best_reduced = -IMPROVE_TOL
-        for x, (costs, P) in enumerate(tables):
-            q = costs + beta * (P @ v)
-            for a in range(len(costs)):
-                reduced = q[a] - v[x]
-                if reduced < best_reduced:
-                    best_reduced = reduced
-                    best_pair = (x, a)
-        if best_pair is None:
+        reduced = table.c + beta * (table.R @ v) - v[table.owner]
+        row = int(np.argmin(reduced))
+        if not reduced[row] < -IMPROVE_TOL:
             return _finish(
-                dmdp, tables, v, tuple(phi), switches, "dantzig-pi",
+                dmdp, table, v, tuple(phi), switches, "dantzig-pi",
                 action_tol, started,
             )
         switches += 1
@@ -275,7 +230,7 @@ def dantzig_pi(
                 f"Dantzig policy iteration exceeded {cap} switches (degeneracy cycle?)"
             )
         choice = list(phi)
-        choice[best_pair[0]] = best_pair[1]
+        choice[table.owner[row]] = int(table.local[row])
         phi = StationaryPolicy(tuple(choice))
         v = policy_evaluate(dmdp, phi)
 
@@ -355,30 +310,26 @@ def emit_lp(dmdp: DiscountedMdp) -> str:
     action-minor; coefficients carry 17 significant digits.  Output is
     deterministic byte-for-byte.
     """
-    base = dmdp.base
+    table = dmdp.base.packed
     beta = dmdp.beta
+    n, m = len(table.first) - 1, len(table.c)
+    names = [f"z_{x}_{a}" for x, a in zip(table.owner.tolist(), table.local.tolist())]
     lines = [f"\\ occupation-measure LP (beta = {beta:.17g})"]
 
-    objective = [
-        (base.actions[x][a].cost, f"z_{x}_{a}")
-        for x, a in base.state_action_pairs()
-    ]
     lines.append("Minimize")
-    lines.extend(_wrap(_format_terms(objective), " obj:"))
+    lines.extend(_wrap(_format_terms(zip(table.c.tolist(), names)), " obj:"))
 
     lines.append("Subject To")
-    for x in range(base.n_states):
-        terms = []
-        for y, a in base.state_action_pairs():
-            coef = (1.0 if y == x else 0.0) - beta * base.actions[y][a].rate_to(x)
-            if coef != 0.0:
-                terms.append((coef, f"z_{y}_{a}"))
-        tokens = _format_terms(terms) + ["=", "1"]
-        lines.extend(_wrap(tokens, f" flow_{x}:"))
+    # row x of I_owner - beta R^T, zero coefficients dropped
+    owned = sparse.csr_matrix((np.ones(m), np.arange(m), table.first), shape=(n, m))
+    flow = (owned - beta * table.R.T).tocsr()
+    coefs, rows, bounds = flow.data.tolist(), flow.indices.tolist(), flow.indptr.tolist()
+    for x in range(n):
+        terms = [(coefs[k], names[rows[k]]) for k in range(bounds[x], bounds[x + 1])]
+        lines.extend(_wrap(_format_terms(terms) + ["=", "1"], f" flow_{x}:"))
 
     lines.append("Bounds")
-    for x, a in base.state_action_pairs():
-        lines.append(f" z_{x}_{a} >= 0")
+    lines.extend(f" {name} >= 0" for name in names)
     lines.append("End")
     return "\n".join(lines) + "\n"
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import NotConvergedWithinBudget
-from .model import ActionData, RateMdp, StationaryPolicy, policy_matrices
+from .model import ActionData, PackedMdp, RateMdp, StationaryPolicy, policy_matrices
 
 #: Slack allowed when re-checking certificate inequalities.
 CERT_SLACK = 1e-9
@@ -48,15 +48,6 @@ class NegativeInverseEntry:
 
 
 @dataclass(frozen=True)
-class DivergentIteration:
-    """An iterative evaluation diverged at ``state`` (reserved for
-    approximate checkers; the exact policy-iteration path never emits it)."""
-
-    state: int
-    value: float
-
-
-@dataclass(frozen=True)
 class NonTransienceWitness:
     """A policy whose lifetime matrix is unbounded, with the evidence that
     convicted it.  The witness policy's Q_phi has spectral radius >= 1 - 1e-9,
@@ -64,7 +55,7 @@ class NonTransienceWitness:
     """
 
     policy: StationaryPolicy
-    evidence: SingularSystem | NegativeInverseEntry | DivergentIteration
+    evidence: SingularSystem | NegativeInverseEntry
 
 
 @dataclass(frozen=True)
@@ -126,28 +117,14 @@ def certificate_residual(
     Positive values are violations.  With ``exclude`` set, transitions into
     that state are left out of the sum (the truncated inequality).
     """
+    table = mdp.packed if exclude is None else mdp.packed.without_column(exclude)
     mu = np.asarray(mu, dtype=float)
-    worst = -np.inf
-    for x, acts in enumerate(mdp.actions):
-        for act in acts:
-            total = 1.0
-            for y, rate in act.transitions:
-                if y != exclude:
-                    total += rate * mu[y]
-            worst = max(worst, total - mu[x])
-    return worst
+    return float(np.max(1.0 + table.R @ mu - mu[table.owner]))
 
 
-def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
-    """Expected lifetime tau of ``phi``: the solution of (I - Q_phi) tau = 1.
-
-    The M-matrix criterion certifies transience of the policy: the inverse
-    of I - Q_phi must exist and be entrywise nonnegative.  Returns the tau
-    vector (>= 1 entrywise) or a NonTransienceWitness.
-    """
-    n = mdp.n_states
-    Q = policy_matrices(mdp, phi).Q
-    inv = _linalg.inverse(np.eye(n) - Q)
+def _evaluate(table: PackedMdp, phi: StationaryPolicy):
+    Q = table.policy(phi).Q
+    inv = _linalg.inverse(np.eye(len(Q)) - Q)
     if inv is None:
         return NonTransienceWitness(policy=phi, evidence=SingularSystem())
     negative = np.argwhere(inv < -NEG_INVERSE_TOL)
@@ -159,22 +136,38 @@ def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
     return inv.sum(axis=1)
 
 
-def _greedy_lifetime_improvement(mdp: RateMdp, phi: StationaryPolicy, tau):
-    """One round of greedy improvement on 1 + sum q(y|x,a) tau(y)."""
-    improved = False
-    new_choice = []
-    for x, acts in enumerate(mdp.actions):
-        best_a = phi[x]
-        best_val = tau[x]
-        for a, act in enumerate(acts):
-            val = 1.0
-            for y, rate in act.transitions:
-                val += rate * tau[y]
-            if val > best_val + IMPROVE_TOL:
-                best_val, best_a = val, a
-                improved = True
-        new_choice.append(best_a)
-    return StationaryPolicy(tuple(new_choice)), improved
+def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
+    """Expected lifetime tau of ``phi``: the solution of (I - Q_phi) tau = 1.
+
+    The M-matrix criterion certifies transience of the policy: the inverse
+    of I - Q_phi must exist and be entrywise nonnegative.  Returns the tau
+    vector (>= 1 entrywise) or a NonTransienceWitness.
+    """
+    return _evaluate(mdp.packed, phi)
+
+
+def _greedy_lifetime_improvement(table: PackedMdp, phi: StationaryPolicy, tau):
+    """One round of greedy improvement on 1 + sum q(y|x,a) tau(y): a state
+    moves to its first maximizing action when that beats tau(x) by more
+    than 1e-12, and otherwise keeps its action."""
+    low, best = table.state_argmin(-(1.0 + table.R @ tau))
+    improves = -low > tau + IMPROVE_TOL
+    choice = np.where(improves, best, np.asarray(phi.choice))
+    return StationaryPolicy(tuple(choice.tolist())), bool(improves.any())
+
+
+def _maximize_lifetime(table: PackedMdp):
+    phi = StationaryPolicy((0,) * (len(table.first) - 1))
+    while True:
+        result = _evaluate(table, phi)
+        if isinstance(result, NonTransienceWitness):
+            return result
+        tau = result
+        phi, improved = _greedy_lifetime_improvement(table, phi, tau)
+        if not improved:
+            return TransienceCertificate(
+                mu=tau, K=float(tau.max()), method="exact-policy-iteration"
+            )
 
 
 def maximize_lifetime(mdp: RateMdp):
@@ -186,17 +179,7 @@ def maximize_lifetime(mdp: RateMdp):
     lifetime sup is infinite).  On success the returned certificate's mu is
     a fixed point of the lifetime operator and bounds every policy.
     """
-    phi = StationaryPolicy((0,) * mdp.n_states)
-    while True:
-        result = evaluate_lifetime(mdp, phi)
-        if isinstance(result, NonTransienceWitness):
-            return result
-        tau = result
-        phi, improved = _greedy_lifetime_improvement(mdp, phi, tau)
-        if not improved:
-            return TransienceCertificate(
-                mu=tau, K=float(tau.max()), method="exact-policy-iteration"
-            )
+    return _maximize_lifetime(mdp.packed)
 
 
 def mu_value_iteration(
@@ -209,18 +192,11 @@ def mu_value_iteration(
     possible non-transience (run :func:`maximize_lifetime` to get an exact
     verdict either way).
     """
+    table = mdp.packed
     u = np.zeros(mdp.n_states)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        nxt = np.empty_like(u)
-        for x, acts in enumerate(mdp.actions):
-            best = -np.inf
-            for act in acts:
-                val = 1.0
-                for y, rate in act.transitions:
-                    val += rate * u[y]
-                best = max(best, val)
-            nxt[x] = best
+        nxt = np.maximum.reduceat(1.0 + table.R @ u, table.first[:-1])
         assert np.all(nxt >= u), "lifetime iterates must be nondecreasing"
         delta = float(np.max(nxt - u))
         u = nxt
@@ -281,7 +257,9 @@ def check_ht(mdp: RateMdp, ell: int):
     Returns an HtCertificate (mu of the truncated problem, K* = max mu) or
     the NonTransienceWitness of a policy that avoids ``ell`` forever.
     """
-    result = maximize_lifetime(truncate_at_state(mdp, ell))
+    if not 0 <= ell < mdp.n_states:
+        raise ValueError(f"state index {ell} out of range")
+    result = _maximize_lifetime(mdp.packed.without_column(ell))
     if isinstance(result, NonTransienceWitness):
         return result
     return HtCertificate(ell=ell, K_star=result.K, mu=result.mu)

@@ -12,12 +12,15 @@ from mdpreduce import (
     RateClass,
     RateMdp,
     StationaryPolicy,
+    certificate_residual,
     classify_rates,
     count_policies,
     dumps_instance,
     enumerate_policies,
     loads_instance,
+    maximize_lifetime,
     policy_matrices,
+    solve_total_cost,
     validate,
 )
 from conftest import build_mdp
@@ -112,6 +115,84 @@ class TestPolicyMatrices:
         for phi in enumerate_policies(mdp):
             sums = policy_matrices(mdp, phi).Q.sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
+
+
+class TestPackedTable:
+    def test_rows_are_state_major_and_keep_transition_order(self, mk):
+        mdp = mk(
+            [
+                [(1.0, [(2, 0.1), (0, 0.2)]), (2.0, [])],
+                [(3.0, [(1, 0.3)])],
+                [(4.0, [(0, 0.4), (2, 0.5), (1, 0.6)])],
+            ]
+        )
+        table = mdp.packed
+        assert table.c.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert table.first.tolist() == [0, 2, 3, 4]
+        assert table.owner.tolist() == [0, 0, 1, 2]
+        assert table.local.tolist() == [0, 1, 0, 0]
+        assert table.R.indices.tolist() == [2, 0, 1, 0, 2, 1]
+        assert table.R.data.tolist() == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        assert mdp.packed is table
+
+    @pytest.mark.parametrize(
+        "mdp",
+        [
+            build_mdp([[(1.0, [(0, -0.5)])]]),
+            build_mdp([[(float("nan"), [])]]),
+            build_mdp([[(0.0, [(0, float("inf"))])]]),
+            build_mdp([[(0.0, [(3, 0.5)])]]),
+            build_mdp([[(0.0, [(0, 0.25), (1, 0.1), (0, 0.25)])], [(0.0, [])]]),
+            build_mdp([[(0.0, [])], [(0.0, [])]], labels=("a", "a")),
+            RateMdp(2, ((ActionData(0.0),), ())),
+            RateMdp(3, ((ActionData(0.0),),)),
+            RateMdp(1, ((ActionData(0.0, ((0, -1.0),), name="stay"),),)),
+        ],
+    )
+    def test_packing_raises_what_validate_reports(self, mdp):
+        with pytest.raises(ValueError) as info:
+            mdp.packed
+        assert str(info.value) == validate(mdp).error
+
+    def test_maximize_lifetime_rejects_a_negative_rate(self, mk):
+        # this used to return mu = [0.667], below the certificate's own mu >= 1
+        with pytest.raises(ValueError, match=r"^negative rate at \(0, a0, 0\)$"):
+            maximize_lifetime(mk([[(1.0, [(0, -0.5)])]]))
+
+    def test_nan_cost_read_from_text_is_named(self):
+        # this used to surface deep in the solve as "no action within 1e-08"
+        text = json.dumps(
+            {
+                "states": 2,
+                "actions": [
+                    [{"cost": float("nan"), "transitions": [{"to": 1, "rate": 0.5}]}],
+                    [{"cost": 1.0, "transitions": []}],
+                ],
+            }
+        )
+        with pytest.raises(ValueError, match=r"^non-finite cost at \(0, a0\)$"):
+            solve_total_cost(loads_instance(text))
+
+    def test_row_sums_add_left_to_right(self):
+        # a pairwise or blocked sum differs in the last digit on most rows
+        # this long, and transformed files print that digit
+        rng = np.random.default_rng(3)
+        rows = [
+            (rng.random(k) * 10.0 ** rng.integers(-6, 6, k)).tolist()
+            for k in rng.integers(0, 40, 300)
+        ]
+        mdp = RateMdp(
+            40,
+            (tuple(ActionData(0.0, tuple(enumerate(row))) for row in rows),)
+            + ((ActionData(0.0),),) * 39,
+        )
+        expected = []
+        for row in rows:
+            total = 0.0
+            for rate in row:
+                total += rate
+            expected.append(total)
+        assert mdp.packed.row_sums()[: len(rows)].tolist() == expected
 
 
 class TestEnumeratePolicies:
@@ -224,3 +305,47 @@ class TestSerialization:
     def test_rejects_non_object_top_level(self):
         with pytest.raises(InstanceFormatError):
             loads_instance(json.dumps([1, 2, 3]))
+
+
+def _loop_values(mdp, v):
+    """c(x, a) + sum_y q(y | x, a) v(y), one action at a time: the
+    per-action loops the packed table replaced, kept as the reference."""
+    values = []
+    for acts in mdp.actions:
+        row = []
+        for act in acts:
+            value = act.cost
+            for y, rate in act.transitions:
+                value += rate * v[y]
+            row.append(value)
+        values.append(row)
+    return values
+
+
+class TestPackedAgainstLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(small_instances(), st.integers(0, 2**32 - 1))
+    def test_bellman_step_min_argmin_and_sets(self, mdp, seed):
+        rng = np.random.default_rng(seed)
+        table = mdp.packed
+        v = rng.uniform(1.0, 3.0, mdp.n_states)
+        q = table.c + table.R @ v
+        reference = _loop_values(mdp, v)
+        # the sum is associated differently: c + (sum q v), not (c + q v) + ...
+        scale = 1.0 + np.abs(table.c) + np.abs(table.R) @ np.abs(v)
+        assert np.all(np.abs(q - np.concatenate(reference)) <= 1e-14 * scale)
+
+        residual = max(1.0 + value - act.cost - v[x]
+                       for x, row in enumerate(reference)
+                       for value, act in zip(row, mdp.actions[x]))
+        assert certificate_residual(mdp, v) == pytest.approx(residual, abs=1e-13 * scale.max())
+
+        # ties, on values with many exact ties: lowest action index first
+        tied = rng.integers(0, 3, len(table.c)).astype(float)
+        low, best = table.state_argmin(tied)
+        rows = np.split(tied, table.first[1:-1])
+        assert low.tolist() == [float(row.min()) for row in rows]
+        assert best.tolist() == [int(np.argmin(row)) for row in rows]
+        assert table.action_sets(tied - 1.0, 0.5) == [
+            tuple(int(a) for a in np.flatnonzero(row == 1.0)) for row in rows
+        ]

@@ -183,6 +183,16 @@ class TestSolverAgreement:
         assert np.max(np.abs(dp.values - hp.values)) <= 1e-10
 
 
+class TestRejectsAnInvalidInstance:
+    @pytest.mark.parametrize("solver", [value_iteration, howard_pi, dantzig_pi])
+    def test_row_summing_to_two(self, solver):
+        # Howard used to return v = (-1.25, 0) here, and VI under python -O
+        # ran to its iteration budget
+        dmdp = make_discounted([[(1.0, [(0, 2.0)])], [(0.0, [(1, 1.0)])]], beta=0.9)
+        with pytest.raises(ValueError, match=r"row \(0, a0\) sums to 2.0, not 1"):
+            solver(dmdp)
+
+
 class TestOptimalActions:
     def test_duplicate_actions_are_tied(self):
         dmdp = make_discounted(
