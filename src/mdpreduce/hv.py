@@ -22,9 +22,9 @@ from scipy import sparse
 
 from .errors import CertificateError, InstanceFormatError
 from .model import (
-    ActionData,
     PackedMdp,
     RateMdp,
+    _first_violation,
     _row_sums_in_order,
     from_packed,
     instance_from_obj,
@@ -143,7 +143,7 @@ def rescale(
     clamped to zero with their row renormalized; anything more negative
     raises CertificateError.  The result passes :func:`check_discounted`.
     """
-    names = [act.name for acts in mdp.actions for act in acts] + [None]
+    names = mdp.row_names() + (None,)
     dmdp = DiscountedMdp(
         base=from_packed(
             _rescaled_table(mdp, mu, beta, ell), names, _extend_labels(mdp.state_labels)
@@ -272,29 +272,24 @@ def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
 
     Transience of a policy, optimality of a policy, and geometric value
     iteration are all invariant under this rescaling; with b = 1/mu the
-    transformed row sums drop below (K - 1)/K.
+    transformed row sums drop below (K - 1)/K.  Raises ValueError when
+    ``b`` makes a cost or a rate non-finite.
     """
     b = np.asarray(b, dtype=float)
     if len(b) != mdp.n_states:
         raise ValueError(f"b has {len(b)} entries for {mdp.n_states} states")
     if np.any(b <= 0.0):
         raise ValueError("similarity vector must be entrywise positive")
-    new_actions = tuple(
-        tuple(
-            ActionData(
-                cost=b[x] * act.cost,
-                transitions=tuple(
-                    (y, b[x] * r / b[y]) for y, r in act.transitions
-                ),
-                name=act.name,
-            )
-            for act in acts
-        )
-        for x, acts in enumerate(mdp.actions)
-    )
-    return RateMdp(
-        n_states=mdp.n_states, actions=new_actions, state_labels=mdp.state_labels
-    )
+    table = mdp.packed
+    R = table.R
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        c = b[table.owner] * table.c
+        rates = b[np.repeat(table.owner, np.diff(R.indptr))] * R.data / b[R.indices]
+    scaled = sparse.csr_matrix((rates, R.indices, R.indptr), shape=R.shape)
+    out = from_packed(PackedMdp(c, scaled, table.first), mdp.row_names(), mdp.state_labels)
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rates))):
+        raise ValueError(_first_violation(out))
+    return out
 
 
 # ---------------------------------------------------------------------------

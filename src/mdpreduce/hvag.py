@@ -175,15 +175,11 @@ def lemma2_identity(
     if f[-1] != 0.0:
         raise ValueError(f"f must vanish at the absorbing state, got {f[-1]!r}")
 
-    act = dmdp.base.actions[x][a]
-    lhs = act.cost
-    for y, p in act.transitions:
-        lhs += dmdp.beta * p * f[y]
+    table, dtable = mdp.packed, dmdp.base.packed
+    r, dr = table.row(x, a), dtable.row(x, a)
+    lhs = dtable.c[dr] + dmdp.beta * (dtable.R[dr] @ f)[0]
 
     mu, ell = cert.mu, cert.ell
-    orig = mdp.actions[x][a]
-    rhs = orig.cost + (mu[x] - 1.0) * f[ell]
-    for y, rate in orig.transitions:
-        rhs += rate * mu[y] * (f[y] - f[ell])
-    rhs /= mu[x]
+    moved = (table.R[r] @ (mu * (f[:-1] - f[ell])))[0]
+    rhs = (table.c[r] + (mu[x] - 1.0) * f[ell] + moved) / mu[x]
     return float(lhs), float(rhs)

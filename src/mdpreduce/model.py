@@ -1,13 +1,20 @@
 """Core data types for rate MDPs: validation, policy algebra, instance I/O.
 
 A rate MDP is a finite MDP whose transitions carry nonnegative *rates*
-rather than probabilities; row sums may be anything finite.  Instances are
-built, read and written as tuples of :class:`ActionData`.  Everything that
-computes works on one packed table instead (:class:`PackedMdp`): the
+rather than probabilities; row sums may be anything finite.  Everything
+that computes works on one packed table (:class:`PackedMdp`): the
 state-action rows in state-major order, their costs ``c`` and their rates
 as an m x n sparse matrix ``R``.  A Bellman-type step is then ``c + R @ v``
-followed by a minimum or maximum over each state's rows.  The table is
-built and validated once, on first use, and cached on the instance.
+followed by a minimum or maximum over each state's rows.
+
+An instance is either built from tuples of :class:`ActionData` (by users,
+the generators and the file reader) or table-backed: the reductions,
+:func:`mdpreduce.hv.similarity_transform` and
+:func:`mdpreduce.transience.truncate_at_state` return instances that hold
+only the table and the row names (:func:`from_packed`).  Either way the
+table is built and validated once and cached on the instance, and the
+``actions`` tuples of a table-backed instance are built on first read and
+cached too, so both kinds compare, hash, print, pickle and copy alike.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -78,7 +85,9 @@ class ActionData:
 
 @dataclass(frozen=True)
 class RateMdp:
-    """Finite MDP with nonnegative transition rates and bounded real costs."""
+    """Finite MDP with nonnegative transition rates and bounded real costs.
+    A table-backed instance (:func:`from_packed`) builds ``actions`` on
+    first read."""
 
     n_states: int
     actions: tuple[tuple[ActionData, ...], ...]
@@ -93,17 +102,36 @@ class RateMdp:
                 self, "state_labels", tuple(str(s) for s in self.state_labels)
             )
 
+    def __getattr__(self, name):
+        # Reached only for attributes missing from the instance: a
+        # table-backed instance builds its ``actions`` here, once.
+        if name != "actions" or "_names" not in self.__dict__:
+            raise AttributeError(name)
+        actions = _actions_from_table(self._packed, self._names)
+        object.__setattr__(self, "actions", actions)
+        return actions
+
     def n_actions(self, x: int) -> int:
+        if "_names" in self.__dict__:
+            return int(self._packed.first[x + 1] - self._packed.first[x])
         return len(self.actions[x])
 
+    def row_names(self) -> tuple[str | None, ...]:
+        """The name (or None) of every state-action row, state-major."""
+        names = self.__dict__.get("_names")
+        if names is None:
+            names = tuple(act.name for acts in self.actions for act in acts)
+        return names
+
     def action_name(self, x: int, a: int) -> str:
-        act = self.actions[x][a]
-        return act.name if act.name is not None else f"a{a}"
+        names = self.__dict__.get("_names")
+        name = self.actions[x][a].name if names is None else names[self._packed.row(x, a)]
+        return name if name is not None else f"a{a}"
 
     @property
     def n_state_actions(self) -> int:
         """Total number of state-action pairs (the LP's ``m``)."""
-        return sum(len(acts) for acts in self.actions)
+        return len(self.row_names())
 
     @property
     def packed(self) -> PackedMdp:
@@ -174,6 +202,12 @@ class PackedMdp:
         low = self.state_min(q)
         rows = np.where(q == low[self.owner], np.arange(len(q)), len(q))
         return low, self.local[np.minimum.reduceat(rows, self.first[:-1])]
+
+    def row(self, x: int, a: int) -> int:
+        """The row of action ``a`` at state ``x``."""
+        if not 0 <= a < self.first[x + 1] - self.first[x]:
+            raise IndexError(f"action index {a} out of range at state {x}")
+        return int(self.first[x] + a)
 
     def action_sets(self, gap: np.ndarray, tol: float, equation: str | None = None):
         """Per state, the action indices of the rows with |gap| <= tol.  With
@@ -269,8 +303,19 @@ def _pack(mdp: RateMdp) -> PackedMdp:
 
 
 def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
-    """The instance whose packed table is ``table``, with ``names[r]`` the
-    name of row ``r`` (or None).  The table is cached on the result."""
+    """The table-backed instance whose packed table is ``table``, with
+    ``names[r]`` the name of row ``r`` (or None).  ``table`` must be valid;
+    it is not checked again.  The ``actions`` tuples are built on first
+    read."""
+    mdp = object.__new__(RateMdp)
+    labels = None if state_labels is None else tuple(str(s) for s in state_labels)
+    mdp.__dict__.update(
+        n_states=len(table.first) - 1, state_labels=labels, _packed=table, _names=tuple(names)
+    )
+    return mdp
+
+
+def _actions_from_table(table: PackedMdp, names) -> tuple[tuple[ActionData, ...], ...]:
     targets, rates = table.R.indices.tolist(), table.R.data.tolist()
     bounds = table.R.indptr.tolist()
     rows = [
@@ -278,13 +323,7 @@ def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
         for cost, lo, hi, name in zip(table.c.tolist(), bounds, bounds[1:], names)
     ]
     first = table.first.tolist()
-    mdp = RateMdp(
-        n_states=len(first) - 1,
-        actions=tuple(tuple(rows[lo:hi]) for lo, hi in zip(first, first[1:])),
-        state_labels=state_labels,
-    )
-    object.__setattr__(mdp, "_packed", table)
-    return mdp
+    return tuple(tuple(rows[lo:hi]) for lo, hi in zip(first, first[1:]))
 
 
 @dataclass(frozen=True)

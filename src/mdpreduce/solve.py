@@ -57,22 +57,21 @@ class OccupationMeasure:
 
     z: dict[tuple[int, int], float]
 
+    def _rows(self, table: PackedMdp):
+        rows = np.array([table.row(x, a) for x, a in self.z], dtype=np.intp)
+        return rows, np.fromiter(self.z.values(), dtype=float, count=len(self.z))
+
     def objective(self, dmdp: DiscountedMdp) -> float:
-        total = 0.0
-        for (x, a), weight in self.z.items():
-            total += dmdp.base.actions[x][a].cost * weight
-        return total
+        rows, weights = self._rows(dmdp.base.packed)
+        return float(dmdp.base.packed.c[rows] @ weights)
 
     def constraint_residuals(self, dmdp: DiscountedMdp) -> np.ndarray:
         """Per-state violation of
         sum_a z(x,a) - beta sum_{y,a} p(x|y,a) z(y,a) = 1."""
-        n = dmdp.n_states
-        residual = np.full(n, -1.0)
-        for (x, a), weight in self.z.items():
-            residual[x] += weight
-            for y, p in dmdp.base.actions[x][a].transitions:
-                residual[y] -= dmdp.beta * p * weight
-        return residual
+        table = dmdp.base.packed
+        rows, weights = self._rows(table)
+        inflow = table.R[rows].T @ weights
+        return np.bincount(table.owner[rows], weights, dmdp.n_states) - 1.0 - dmdp.beta * inflow
 
 
 def _bellman(table: PackedMdp, beta: float, v: np.ndarray):
@@ -111,9 +110,8 @@ def _finish(dmdp, table, v, phi_choice, iterations, method, action_tol, started)
     tv, _ = _bellman(table, dmdp.beta, v)
     residual = float(np.max(np.abs(tv - v)))
     sets = tuple(optimal_actions(dmdp, v, action_tol))
-    assert all(a in sets[x] for x, a in enumerate(phi_choice)), (
-        "returned policy must lie in the reported optimal-action sets"
-    )
+    if not all(a in sets[x] for x, a in enumerate(phi_choice)):
+        raise RuntimeError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
         values=v,
         policy=StationaryPolicy(tuple(phi_choice)),
@@ -136,7 +134,7 @@ def value_iteration(
     below tol (1 - beta) / (2 beta), which guarantees the returned values
     are within ``tol`` of the fixed point.  At beta = 0 one application is
     exact.  Successive increments must shrink by a factor of beta
-    (contraction), which is asserted each iteration.
+    (contraction), which is checked each iteration.
     """
     started = time.perf_counter()
     beta = dmdp.beta
@@ -148,10 +146,10 @@ def value_iteration(
     for iteration in range(1, max_iter + 1):
         tv, greedy = _bellman(table, beta, v)
         delta = float(np.max(np.abs(tv - v)))
-        if previous_delta is not None:
-            assert delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15, (
-                "optimality operator failed to contract"
-            )
+        if previous_delta is not None and not (
+            delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15
+        ):
+            raise RuntimeError("optimality operator failed to contract")
         v, previous_delta = tv, delta
         if delta <= threshold:
             return _finish(
@@ -171,7 +169,7 @@ def howard_pi(
     """Howard policy iteration: evaluate, then switch every state to its
     greedy action (ties to the incumbent, then the lowest index); stop when
     no state improves by more than 1e-12.  Values are nonincreasing
-    entrywise across rounds, which is asserted.
+    entrywise across rounds, which is checked.
     """
     started = time.perf_counter()
     beta = dmdp.beta
@@ -192,7 +190,8 @@ def howard_pi(
             )
         phi = StationaryPolicy(tuple(np.where(switch, best, phi.choice).tolist()))
         v_next = policy_evaluate(dmdp, phi)
-        assert np.all(v_next <= v + 1e-9), "policy iteration must not increase values"
+        if not np.all(v_next <= v + 1e-9):
+            raise RuntimeError("policy iteration must not increase values")
         v = v_next
 
 

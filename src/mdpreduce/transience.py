@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import _linalg
 from .errors import NotConvergedWithinBudget
-from .model import ActionData, PackedMdp, RateMdp, StationaryPolicy, policy_matrices
+from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed, policy_matrices
 
 #: Slack allowed when re-checking certificate inequalities.
 CERT_SLACK = 1e-9
@@ -149,11 +150,13 @@ def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
 def _greedy_lifetime_improvement(table: PackedMdp, phi: StationaryPolicy, tau):
     """One round of greedy improvement on 1 + sum q(y|x,a) tau(y): a state
     moves to its first maximizing action when that beats tau(x) by more
-    than 1e-12, and otherwise keeps its action."""
+    than 1e-12, and otherwise keeps its action.  Reports whether the policy
+    changed: at large K the incumbent's own value can beat tau(x) by more
+    than 1e-12 of round-off, which is no improvement."""
     low, best = table.state_argmin(-(1.0 + table.R @ tau))
-    improves = -low > tau + IMPROVE_TOL
-    choice = np.where(improves, best, np.asarray(phi.choice))
-    return StationaryPolicy(tuple(choice.tolist())), bool(improves.any())
+    current = np.asarray(phi.choice)
+    choice = np.where(-low > tau + IMPROVE_TOL, best, current)
+    return StationaryPolicy(tuple(choice.tolist())), bool(np.any(choice != current))
 
 
 def _maximize_lifetime(table: PackedMdp):
@@ -197,7 +200,8 @@ def mu_value_iteration(
     delta = np.inf
     for iteration in range(1, max_iter + 1):
         nxt = np.maximum.reduceat(1.0 + table.R @ u, table.first[:-1])
-        assert np.all(nxt >= u), "lifetime iterates must be nondecreasing"
+        if not np.all(nxt >= u):
+            raise RuntimeError("lifetime iterates must be nondecreasing")
         delta = float(np.max(nxt - u))
         u = nxt
         if delta < tol:
@@ -230,24 +234,12 @@ def truncate_at_state(mdp: RateMdp, ell: int) -> RateMdp:
     """Copy of the instance with every transition *into* ``ell`` removed."""
     if not 0 <= ell < mdp.n_states:
         raise ValueError(f"state index {ell} out of range")
-    new_actions = tuple(
-        tuple(
-            ActionData(
-                cost=act.cost,
-                transitions=tuple(
-                    (y, r) for y, r in act.transitions if y != ell
-                ),
-                name=act.name,
-            )
-            for act in acts
-        )
-        for acts in mdp.actions
-    )
-    return RateMdp(
-        n_states=mdp.n_states,
-        actions=new_actions,
-        state_labels=mdp.state_labels,
-    )
+    table = mdp.packed
+    R = table.R
+    keep = R.indices != ell
+    indptr = np.append(0, np.cumsum(keep))[R.indptr]
+    cut = sparse.csr_matrix((R.data[keep], R.indices[keep], indptr), shape=R.shape)
+    return from_packed(PackedMdp(table.c, cut, table.first), mdp.row_names(), mdp.state_labels)
 
 
 def check_ht(mdp: RateMdp, ell: int):

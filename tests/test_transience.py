@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mdpreduce
 from mdpreduce import (
     GenSpec,
     HtCertificate,
@@ -72,6 +78,25 @@ class TestMaximizeLifetime:
         assert isinstance(cert, TransienceCertificate)
         assert cert.mu == pytest.approx([10.0], abs=1e-9)
         assert cert.K == pytest.approx(10.0, abs=1e-9)
+
+    def test_terminates_when_round_off_beats_the_incumbent(self):
+        # Every row kills with probability 3e-4, so K = 1/3e-4.  Once the
+        # policy settles, the incumbent's own 1 + R tau still beats tau by
+        # about 2e-12 of round-off; the iteration must stop anyway.  It runs
+        # in a child process so that a relapse fails here instead of hanging.
+        code = (
+            "from mdpreduce import GenSpec, Substochastic, gen_transient, maximize_lifetime\n"
+            "spec = GenSpec(n_states=60, max_actions=4, density=0.6,\n"
+            "               rate_class=Substochastic((3e-4, 3e-4)), seed=0)\n"
+            "print(repr(maximize_lifetime(gen_transient(spec)).K))\n"
+        )
+        src = str(Path(mdpreduce.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) == pytest.approx(1.0 / 3e-4, rel=1e-9)
 
     def test_stochastic_cycle_is_not_transient(self, two_cycle):
         witness = maximize_lifetime(two_cycle)
