@@ -24,6 +24,7 @@ from .hvag import build_hvag
 from .model import (
     RateClass,
     RateMdp,
+    ValidationReport,
     classify_rates,
     dumps_instance,
     load_instance,
@@ -68,17 +69,16 @@ def _print_witness(witness: NonTransienceWitness) -> None:
     print(f"witness_evidence: {evidence}")
 
 
-def _load(path: str) -> RateMdp:
+def _load(path: str) -> tuple[RateMdp, ValidationReport]:
     mdp = load_instance(path)
     report = validate(mdp)
     if not report.ok:
         raise InstanceFormatError(report.error)
-    return mdp
+    return mdp, report
 
 
 def _cmd_check(args) -> int:
-    mdp = _load(args.input)
-    report = validate(mdp)
+    mdp, report = _load(args.input)
     print(f"max_row_sum: {_fmt(report.max_row_sum)}")
     print(f"rate_class: {report.rate_class.value}")
     if args.state is None:
@@ -106,7 +106,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve_total(args) -> int:
-    mdp = _load(args.input)
+    mdp, _ = _load(args.input)
     kwargs = {"tol": args.tol} if args.method == "vi" else {}
     result = solve_total_cost(mdp, method=args.method, beta=args.beta, **kwargs)
     if isinstance(result, NonTransienceWitness):
@@ -131,7 +131,7 @@ def _cmd_solve_total(args) -> int:
 
 
 def _cmd_solve_average(args) -> int:
-    mdp = _load(args.input)
+    mdp, _ = _load(args.input)
     if classify_rates(mdp) is not RateClass.STOCHASTIC:
         raise InstanceFormatError(
             "average-cost pipeline requires stochastic rates"
@@ -162,7 +162,7 @@ def _cmd_solve_average(args) -> int:
 
 
 def _transformed(args):
-    mdp = _load(args.input)
+    mdp, _ = _load(args.input)
     if args.kind == "hv":
         if args.state is not None:
             raise InstanceFormatError("--state only applies to --kind hvag")

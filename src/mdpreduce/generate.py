@@ -76,7 +76,8 @@ class GenSpec:
 
 
 def _pick_targets(rng, n: int, density: float) -> list[int]:
-    return [y for y in range(n) if rng.random() < density]
+    # one draw of n doubles: the same stream as n scalar draws
+    return np.flatnonzero(rng.random(n) < density).tolist()
 
 
 def gen_transient(spec: GenSpec) -> RateMdp:

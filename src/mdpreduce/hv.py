@@ -24,11 +24,12 @@ from .errors import CertificateError, InstanceFormatError
 from .model import (
     PackedMdp,
     RateMdp,
+    _dumps_table,
     _first_violation,
+    _json_block,
     _row_sums_in_order,
     from_packed,
     instance_from_obj,
-    instance_to_obj,
 )
 from .transience import CERT_SLACK, TransienceCertificate, certificate_residual
 
@@ -298,22 +299,6 @@ def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
 # ---------------------------------------------------------------------------
 
 
-def discounted_to_obj(dmdp: DiscountedMdp) -> dict:
-    obj = instance_to_obj(dmdp.base)
-    header: dict = {
-        "beta": dmdp.beta,
-        "absorbing_state": dmdp.absorbing_state,
-    }
-    origin = dmdp.origin
-    header["origin"] = None
-    if origin is not None:
-        header["origin"] = {"kind": origin.kind, "mu": list(origin.mu)}
-        if origin.ell is not None:
-            header["origin"]["ell"] = origin.ell
-    obj["discounted"] = header
-    return obj
-
-
 def discounted_from_obj(obj) -> DiscountedMdp:
     if not isinstance(obj, dict) or "discounted" not in obj:
         raise InstanceFormatError("missing 'discounted' header")
@@ -324,9 +309,7 @@ def discounted_from_obj(obj) -> DiscountedMdp:
         raise InstanceFormatError("'discounted' header must be an object")
     unknown = set(header) - {"beta", "absorbing_state", "origin"}
     if unknown:
-        raise InstanceFormatError(
-            f"unknown field '{sorted(unknown)[0]}' in 'discounted' header"
-        )
+        raise InstanceFormatError(f"unknown field '{sorted(unknown)[0]}' in 'discounted' header")
     for key in ("beta", "absorbing_state", "origin"):
         if key not in header:
             raise InstanceFormatError(f"missing field '{key}' in 'discounted' header")
@@ -340,26 +323,32 @@ def discounted_from_obj(obj) -> DiscountedMdp:
         origin = ReductionOrigin(mu=np.asarray(raw_origin["mu"], dtype=float))
     elif isinstance(raw_origin, dict) and raw_origin.get("kind") == "hvag":
         if set(raw_origin) != {"kind", "mu", "ell"}:
-            raise InstanceFormatError(
-                "hvag origin must carry exactly 'kind', 'mu' and 'ell'"
-            )
-        origin = ReductionOrigin(
-            mu=np.asarray(raw_origin["mu"], dtype=float), ell=int(raw_origin["ell"])
-        )
+            raise InstanceFormatError("hvag origin must carry exactly 'kind', 'mu' and 'ell'")
+        origin = ReductionOrigin(np.asarray(raw_origin["mu"], dtype=float), int(raw_origin["ell"]))
     else:
         raise InstanceFormatError("unrecognized 'origin' in 'discounted' header")
-    dmdp = DiscountedMdp(
-        base=base,
-        absorbing_state=int(header["absorbing_state"]),
-        beta=float(header["beta"]),
-        origin=origin,
-    )
+    dmdp = DiscountedMdp(base, int(header["absorbing_state"]), float(header["beta"]), origin)
     check_discounted(dmdp)
     return dmdp
 
 
 def dumps_discounted(dmdp: DiscountedMdp) -> str:
-    return json.dumps(discounted_to_obj(dmdp), indent=2) + "\n"
+    """The discounted instance file: the bytes of ``json.dumps`` with
+    ``indent=2``, written from the base instance's packed table."""
+    origin = dmdp.origin
+    described = "null"
+    if origin is not None:
+        mu = _json_block(list(map(json.dumps, origin.mu.tolist())), "      ")
+        members = [f'"kind": {json.dumps(origin.kind)}', f'"mu": {mu}']
+        if origin.ell is not None:
+            members.append(f'"ell": {json.dumps(origin.ell)}')
+        described = _json_block(members, "    ", "{}")
+    header = [
+        f'"beta": {json.dumps(dmdp.beta)}',
+        f'"absorbing_state": {json.dumps(dmdp.absorbing_state)}',
+        f'"origin": {described}',
+    ]
+    return _dumps_table(dmdp.base, [f'"discounted": {_json_block(header, "  ", "{}")}'])
 
 
 def loads_discounted(text: str) -> DiscountedMdp:

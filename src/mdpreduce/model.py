@@ -7,14 +7,15 @@ state-action rows in state-major order, their costs ``c`` and their rates
 as an m x n sparse matrix ``R``.  A Bellman-type step is then ``c + R @ v``
 followed by a minimum or maximum over each state's rows.
 
-An instance is either built from tuples of :class:`ActionData` (by users,
-the generators and the file reader) or table-backed: the reductions,
+An instance is either built from tuples of :class:`ActionData` (by users
+and the generators) or table-backed: the file reader, the reductions,
 :func:`mdpreduce.hv.similarity_transform` and
 :func:`mdpreduce.transience.truncate_at_state` return instances that hold
-only the table and the row names (:func:`from_packed`).  Either way the
-table is built and validated once and cached on the instance, and the
-``actions`` tuples of a table-backed instance are built on first read and
-cached too, so both kinds compare, hash, print, pickle and copy alike.
+only the table and the row names (:func:`from_packed`), and the file
+writers print the table itself.  Either way the table is built and
+validated once and cached on the instance, and the ``actions`` tuples of a
+table-backed instance are built on first read and cached too, so both
+kinds compare, hash, print, pickle and copy alike.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -22,6 +23,7 @@ threads; every operation here is a pure function.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import itertools
 import json
@@ -266,39 +268,54 @@ def _row_sums_in_order(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 def _pack(mdp: RateMdp) -> PackedMdp:
-    n = mdp.n_states
+    n, labels = mdp.n_states, mdp.state_labels
     rows = [act for acts in mdp.actions for act in acts]
-    counts = np.array([len(acts) for acts in mdp.actions], dtype=np.intp)
-    lengths = np.array([len(act.transitions) for act in rows], dtype=np.intp)
-    c = np.array([act.cost for act in rows], dtype=float)
+    lengths = [len(act.transitions) for act in rows]
 
     def entries(field: int, dtype):
         pairs = itertools.chain.from_iterable(act.transitions for act in rows)
-        return np.fromiter(map(itemgetter(field), pairs), dtype=dtype, count=int(lengths.sum()))
+        return np.fromiter(map(itemgetter(field), pairs), dtype=dtype, count=sum(lengths))
 
-    rates, targets = entries(1, float), entries(0, np.int64)
-    labels = mdp.state_labels
-    ok = (
+    table = None
+    if (
         isinstance(n, int)
         and 1 <= n == len(mdp.actions)
         and (labels is None or len(labels) == len(set(labels)) == n)
-        and bool(np.all(counts > 0))
-        and bool(np.all(np.isfinite(c)))
-        and bool(np.all((targets >= 0) & (targets < n)))
-        and bool(np.all(np.isfinite(rates)) and np.all(rates >= 0.0))
-    )
-    if ok:
-        keys = np.repeat(np.arange(len(rows)) * n, lengths)
-        keys += targets
-        keys.sort()
-        ok = not np.any(keys[1:] == keys[:-1])
-    if not ok:
+    ):
+        counts = [len(acts) for acts in mdp.actions]
+        costs = [act.cost for act in rows]
+        with contextlib.suppress(OverflowError):  # a target beyond int64 is out of range
+            table = _checked_table(n, counts, lengths, costs, entries(0, np.int64), entries(1, float))
+    if table is None:
         raise ValueError(_first_violation(mdp))
+    return table
+
+
+def _checked_table(n: int, counts, lengths, costs, targets, rates) -> PackedMdp | None:
+    """The packed table of the rows ``costs``, ``counts[x]`` of them at state
+    ``x``, row ``r`` with the next ``lengths[r]`` entries of ``targets`` and
+    ``rates``; None when the rows break an invariant of :func:`validate`."""
+    counts, lengths = np.asarray(counts, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
+    c = np.asarray(costs, dtype=float)
+    targets, rates = np.asarray(targets, dtype=np.int64), np.asarray(rates, dtype=float)
+    if not (
+        np.all(counts > 0)
+        and np.all(np.isfinite(c))
+        and np.all((targets >= 0) & (targets < n))
+        and np.all(np.isfinite(rates))
+        and np.all(rates >= 0.0)
+    ):
+        return None
+    keys = np.repeat(np.arange(len(c)) * n, lengths)
+    keys += targets
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        return None
     first = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
-    indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+    indptr = np.zeros(len(c) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    R = sparse.csr_matrix((rates, targets, indptr), shape=(len(rows), n))
+    R = sparse.csr_matrix((rates, targets, indptr), shape=(len(c), n))
     return PackedMdp(c, R, first)
 
 
@@ -385,14 +402,19 @@ def validate(mdp: RateMdp) -> ValidationReport:
 
     The maximal row sum (finite by construction on finite instances, but
     still computed and reported) and the stochasticity class are included
-    whether or not the instance is valid.
+    whether or not the instance is valid.  A valid instance is reported
+    from its packed table, without building its ``actions`` tuples.
     """
-    error = _first_violation(mdp)
-    sums = [act.row_sum() for acts in mdp.actions for act in acts]
-    max_row_sum = max(sums) if sums else 0.0
+    try:
+        sums = mdp.packed.row_sums()
+    except ValueError:
+        sums = [act.row_sum() for acts in mdp.actions for act in acts]
+        error = _first_violation(mdp)
+    else:
+        error = None
     return ValidationReport(
         ok=error is None,
-        max_row_sum=max_row_sum,
+        max_row_sum=float(max(sums, default=0.0)),
         rate_class=_classify(sums),
         error=error,
     )
@@ -410,7 +432,7 @@ def policy_matrices(mdp: RateMdp, phi: StationaryPolicy) -> PolicyMatrices:
 
 
 def count_policies(mdp: RateMdp) -> int:
-    return math.prod(len(acts) for acts in mdp.actions)
+    return math.prod(mdp.n_actions(x) for x in range(mdp.n_states))
 
 
 def enumerate_policies(mdp: RateMdp, cap: int = POLICY_CAP):
@@ -424,7 +446,7 @@ def enumerate_policies(mdp: RateMdp, cap: int = POLICY_CAP):
 
     def _iter():
         for combo in itertools.product(
-            *(range(len(acts)) for acts in mdp.actions)
+            *(range(mdp.n_actions(x)) for x in range(mdp.n_states))
         ):
             yield StationaryPolicy(combo)
 
@@ -445,7 +467,7 @@ def enumerate_policies(mdp: RateMdp, cap: int = POLICY_CAP):
 # ---------------------------------------------------------------------------
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str):
+def _require_keys(obj: dict, allowed: set[str], required: tuple[str, ...], path: str):
     for key in obj:
         if key not in allowed:
             raise InstanceFormatError(f"unknown field '{key}' at {path}")
@@ -460,34 +482,38 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _as_index(value, n: int, labels, path: str) -> int:
+def _as_index(value, n: int, index, path: str) -> int:
+    # ``index`` maps each state label to its state, or is None without labels
     if isinstance(value, bool):
         raise InstanceFormatError(f"expected a state at {path}, got {value!r}")
     if isinstance(value, int):
         if not 0 <= value < n:
-            raise InstanceFormatError(
-                f"state index {value} out of range at {path}"
-            )
+            raise InstanceFormatError(f"state index {value} out of range at {path}")
         return value
     if isinstance(value, str):
-        if labels is None:
+        if index is None:
             raise InstanceFormatError(
                 f"state label {value!r} at {path}, but the instance has no labels"
             )
-        try:
-            return labels.index(value)
-        except ValueError:
-            raise InstanceFormatError(
-                f"unknown state label {value!r} at {path}"
-            ) from None
+        if value not in index:
+            raise InstanceFormatError(f"unknown state label {value!r} at {path}")
+        return index[value]
     raise InstanceFormatError(f"expected a state at {path}, got {value!r}")
 
 
+_TRANSITION_KEYS = frozenset(("to", "rate"))
+
+
 def instance_from_obj(obj) -> RateMdp:
-    """Build a RateMdp from a decoded JSON object, rejecting unknown fields."""
+    """Build a RateMdp from a decoded JSON object, rejecting unknown fields.
+
+    A valid instance comes back table-backed (:func:`from_packed`).  One
+    that parses but breaks an invariant comes back built from tuples, so
+    that :func:`validate` can word its first violation.
+    """
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level must be an object")
-    _require_keys(obj, {"states", "actions"}, {"states", "actions"}, "top level")
+    _require_keys(obj, {"states", "actions"}, ("states", "actions"), "top level")
 
     states = obj["states"]
     labels: tuple[str, ...] | None
@@ -505,66 +531,96 @@ def instance_from_obj(obj) -> RateMdp:
         n, labels = len(states), tuple(states)
     else:
         raise InstanceFormatError("'states' must be an integer or a label array")
+    index = None if labels is None else {label: y for y, label in enumerate(labels)}
 
     raw_actions = obj["actions"]
     if not isinstance(raw_actions, list) or len(raw_actions) != n:
         raise InstanceFormatError(f"'actions' must be an array of {n} entries")
 
-    all_actions = []
+    counts, lengths, costs, names, targets, rates = [], [], [], [], [], []
     for x, acts in enumerate(raw_actions):
         path_x = f"actions[{x}]"
         if not isinstance(acts, list):
             raise InstanceFormatError(f"{path_x} must be an array of actions")
-        state_actions = []
+        counts.append(len(acts))
         for a, act in enumerate(acts):
             path_a = f"{path_x}[{a}]"
             if not isinstance(act, dict):
                 raise InstanceFormatError(f"{path_a} must be an object")
-            _require_keys(
-                act, {"name", "cost", "transitions"}, {"cost", "transitions"}, path_a
-            )
+            _require_keys(act, {"name", "cost", "transitions"}, ("cost", "transitions"), path_a)
             name = act.get("name")
             if name is not None and not isinstance(name, str):
                 raise InstanceFormatError(f"'name' must be a string at {path_a}")
-            cost = _as_number(act["cost"], f"{path_a}.cost")
+            costs.append(_as_number(act["cost"], f"{path_a}.cost"))
+            names.append(name)
             raw_trans = act["transitions"]
             if not isinstance(raw_trans, list):
-                raise InstanceFormatError(
-                    f"'transitions' must be an array at {path_a}"
-                )
-            transitions = []
+                raise InstanceFormatError(f"'transitions' must be an array at {path_a}")
+            lengths.append(len(raw_trans))
             for i, tr in enumerate(raw_trans):
+                # the common case first; anything else takes the checked path
+                if type(tr) is dict and tr.keys() == _TRANSITION_KEYS:
+                    to, rate = tr["to"], tr["rate"]
+                    if type(to) is int and 0 <= to < n and type(rate) is float:
+                        targets.append(to)
+                        rates.append(rate)
+                        continue
                 path_t = f"{path_a}.transitions[{i}]"
                 if not isinstance(tr, dict):
                     raise InstanceFormatError(f"{path_t} must be an object")
-                _require_keys(tr, {"to", "rate"}, {"to", "rate"}, path_t)
-                to = _as_index(tr["to"], n, labels, f"{path_t}.to")
-                rate = _as_number(tr["rate"], f"{path_t}.rate")
-                transitions.append((to, rate))
-            state_actions.append(
-                ActionData(cost=cost, transitions=tuple(transitions), name=name)
-            )
-        all_actions.append(tuple(state_actions))
+                _require_keys(tr, _TRANSITION_KEYS, ("to", "rate"), path_t)
+                targets.append(_as_index(tr["to"], n, index, f"{path_t}.to"))
+                rates.append(_as_number(tr["rate"], f"{path_t}.rate"))
 
-    return RateMdp(n_states=n, actions=tuple(all_actions), state_labels=labels)
+    table = _checked_table(n, counts, lengths, costs, targets, rates)
+    if table is not None:
+        return from_packed(table, names, labels)
+    pairs = iter(zip(targets, rates))
+    rows = iter([
+        ActionData(cost, tuple(itertools.islice(pairs, k)), name)
+        for cost, name, k in zip(costs, names, lengths)
+    ])
+    actions = [tuple(itertools.islice(rows, k)) for k in counts]
+    return RateMdp(n_states=n, actions=actions, state_labels=labels)
 
 
-def instance_to_obj(mdp: RateMdp) -> dict:
-    states = list(mdp.state_labels) if mdp.state_labels is not None else mdp.n_states
-    actions = []
-    for acts in mdp.actions:
-        entry = []
-        for act in acts:
-            record: dict = {}
-            if act.name is not None:
-                record["name"] = act.name
-            record["cost"] = act.cost
-            record["transitions"] = [
-                {"to": y, "rate": r} for y, r in act.transitions
-            ]
-            entry.append(record)
-        actions.append(entry)
-    return {"states": states, "actions": actions}
+#: ``json.dumps``'s own string encoder (``ensure_ascii`` is its default).
+_string = json.encoder.encode_basestring_ascii
+
+#: One transition, indented as ``json.dumps`` indents it within an action.
+_TRANSITION = '{\n            "to": %d,\n            "rate": %r\n          }'
+
+
+def _json_block(items, indent: str, brackets: str = "[]") -> str:
+    """What ``json.dumps(..., indent=2)`` prints for an array (or, with
+    ``brackets="{}"``, an object) of already encoded ``items`` (members),
+    when the value itself sits at ``indent``."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
+
+
+def _dumps_table(mdp: RateMdp, extra=()) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"`` of the instance's file object,
+    with the encoded members ``extra`` after ``"actions"``, written straight
+    from the packed table.  Raises ValueError with :func:`validate`'s
+    message when the instance is invalid."""
+    table = mdp.packed
+    R = table.R
+    edges = [_TRANSITION % pair for pair in zip(R.indices.tolist(), R.data.tolist())]
+    bounds = R.indptr.tolist()
+    rows = []
+    for cost, name, lo, hi in zip(table.c.tolist(), mdp.row_names(), bounds, bounds[1:]):
+        members = [] if name is None else [f'"name": {_string(name)}']
+        members += (f'"cost": {cost!r}', f'"transitions": {_json_block(edges[lo:hi], "        ")}')
+        rows.append(_json_block(members, "      ", "{}"))
+    first = table.first.tolist()
+    actions = [_json_block(rows[lo:hi], "    ") for lo, hi in zip(first, first[1:])]
+    labels = mdp.state_labels
+    states = "%d" % mdp.n_states if labels is None else _json_block([*map(_string, labels)], "  ")
+    members = [f'"states": {states}', f'"actions": {_json_block(actions, "  ")}', *extra]
+    return _json_block(members, "", "{}") + "\n"
 
 
 def loads_instance(text: str) -> RateMdp:
@@ -572,7 +628,9 @@ def loads_instance(text: str) -> RateMdp:
 
 
 def dumps_instance(mdp: RateMdp) -> str:
-    return json.dumps(instance_to_obj(mdp), indent=2) + "\n"
+    """The instance file of ``mdp``: the bytes of ``json.dumps`` with
+    ``indent=2``.  Raises ValueError when the instance is invalid."""
+    return _dumps_table(mdp)
 
 
 def load_instance(path) -> RateMdp:

@@ -48,7 +48,7 @@ def _check_caps(mdp: RateMdp, max_states: int, max_actions: int) -> None:
         raise ValueError(
             f"{mdp.n_states} states exceed the oracle cap of {max_states}"
         )
-    worst = max(len(acts) for acts in mdp.actions)
+    worst = max(mdp.n_actions(x) for x in range(mdp.n_states))
     if worst > max_actions:
         raise ValueError(
             f"{worst} actions at one state exceed the oracle cap of {max_actions}"

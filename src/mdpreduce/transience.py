@@ -17,6 +17,7 @@ average-cost reduction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,8 +161,11 @@ def _greedy_lifetime_improvement(table: PackedMdp, phi: StationaryPolicy, tau):
 
 
 def _maximize_lifetime(table: PackedMdp):
+    # each improving round moves to a new policy, so there are at most as
+    # many rounds as policies
+    rounds = math.prod(np.diff(table.first).tolist())
     phi = StationaryPolicy((0,) * (len(table.first) - 1))
-    while True:
+    for _ in range(rounds):
         result = _evaluate(table, phi)
         if isinstance(result, NonTransienceWitness):
             return result
@@ -171,6 +175,10 @@ def _maximize_lifetime(table: PackedMdp):
             return TransienceCertificate(
                 mu=tau, K=float(tau.max()), method="exact-policy-iteration"
             )
+    raise NotConvergedWithinBudget(
+        f"lifetime policy iteration still improving after {rounds} rounds, "
+        f"as many as there are policies"
+    )
 
 
 def maximize_lifetime(mdp: RateMdp):
@@ -180,7 +188,9 @@ def maximize_lifetime(mdp: RateMdp):
     Any evaluated policy that fails the M-matrix check aborts with its
     NonTransienceWitness (the instance is then not transient, since the
     lifetime sup is infinite).  On success the returned certificate's mu is
-    a fixed point of the lifetime operator and bounds every policy.
+    a fixed point of the lifetime operator and bounds every policy.  Raises
+    NotConvergedWithinBudget if the policy still changes after as many
+    rounds as there are policies, which only round-off could cause.
     """
     return _maximize_lifetime(mdp.packed)
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mdpreduce import dump_instance, load_instance, loads_discounted, validate
+from mdpreduce import cli
 from mdpreduce.cli import main
 from conftest import build_mdp
 
@@ -53,6 +54,13 @@ class TestCheck:
         assert grab(out, "ht_holds_at_0") == "yes"
         assert grab(out, "K_star") == "2"
         assert grab(out, "mu") == "2 1"
+
+    def test_validates_the_instance_once(self, capsys, geometric_file, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "validate", lambda mdp: calls.append(mdp) or validate(mdp))
+        code, out, _ = run(capsys, "check", geometric_file)
+        assert code == 0 and grab(out, "max_row_sum") == "0.5"
+        assert len(calls) == 1
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "check", str(tmp_path / "nope.json"))

@@ -16,6 +16,7 @@ from mdpreduce import (
     maximize_lifetime,
     validate,
 )
+from mdpreduce.generate import _pick_targets
 
 
 def transient_spec(seed, kill=(0.5, 0.8)):
@@ -117,3 +118,18 @@ class TestGenSpec:
             GenSpec(n_states=2, max_actions=1, density=0.0)
         with pytest.raises(ValueError, match="cost_range"):
             GenSpec(n_states=2, max_actions=1, cost_range=(1.0, -1.0))
+
+
+class TestPickTargets:
+    @pytest.mark.parametrize(
+        "n, density, seed",
+        [(1, 0.5, 0), (7, 0.3, 1), (60, 0.6, 2), (600, 10 / 600, 3), (100, 1.0, 4), (40, 0.01, 5)],
+    )
+    def test_draws_what_one_scalar_draw_per_state_drew(self, n, density, seed):
+        # the generators' output, pinned by the golden CLI digests, rests on
+        # the vector draw giving the same doubles as n scalar draws
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            want = [y for y in range(n) if slow.random() < density]
+            assert _pick_targets(fast, n, density) == want
+        assert fast.random() == slow.random()

@@ -20,7 +20,9 @@ from mdpreduce import (
     build_hv,
     build_hvag,
     check_ht,
+    count_policies,
     emit_lp,
+    enumerate_policies,
     gen_ht,
     gen_transient,
     maximize_lifetime,
@@ -104,6 +106,12 @@ class TestLazyView:
         pairs = [(x, a) for x in range(lazy.n_states) for a in range(lazy.n_actions(x))]
         names = [lazy.action_name(x, a) for x, a in pairs]
         assert names == [twin.action_name(x, a) for x, a in pairs]
+        assert not built(lazy)
+
+    def test_counts_policies_without_the_tuples(self, pair):
+        lazy, twin = pair
+        assert count_policies(lazy) == count_policies(twin)
+        assert list(enumerate_policies(lazy)) == list(enumerate_policies(twin))
         assert not built(lazy)
 
     @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import mdpreduce
+from mdpreduce import transience
 from mdpreduce import (
     GenSpec,
     HtCertificate,
@@ -97,6 +98,21 @@ class TestMaximizeLifetime:
         )
         assert done.returncode == 0, done.stderr
         assert float(done.stdout) == pytest.approx(1.0 / 3e-4, rel=1e-9)
+
+    def test_stops_after_as_many_rounds_as_policies(self, mk, monkeypatch):
+        # an improvement step that cycles between the two policies forever
+        # must be cut off after two rounds, since only two policies exist
+        mdp = mk([[(1.0, [(0, 0.5)]), (1.0, [(0, 0.9)])]])
+        seen = []
+
+        def flip(table, phi, tau):
+            seen.append(phi[0])
+            return StationaryPolicy((1 - phi[0],)), True
+
+        monkeypatch.setattr(transience, "_greedy_lifetime_improvement", flip)
+        with pytest.raises(NotConvergedWithinBudget, match="after 2 rounds"):
+            maximize_lifetime(mdp)
+        assert seen == [0, 1]
 
     def test_stochastic_cycle_is_not_transient(self, two_cycle):
         witness = maximize_lifetime(two_cycle)
