@@ -30,18 +30,15 @@ def factorize(a: np.ndarray):
     return lu, piv
 
 
+def try_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve ``a x = b`` with one LU; return ``None`` when ``a`` is singular."""
+    fac = factorize(a)
+    return None if fac is None else lu_solve(fac, np.asarray(b, dtype=float), check_finite=False)
+
+
 def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
     """Solve ``a x = b``, raising SingularSystemError on a singular matrix."""
-    fac = factorize(a)
-    if fac is None:
-        suffix = f": {context}" if context else ""
-        raise SingularSystemError(f"singular linear system{suffix}")
-    return lu_solve(fac, np.asarray(b, dtype=float), check_finite=False)
-
-
-def inverse(a: np.ndarray) -> np.ndarray | None:
-    """Inverse of ``a``, or ``None`` when singular."""
-    fac = factorize(a)
-    if fac is None:
-        return None
-    return lu_solve(fac, np.eye(a.shape[0]), check_finite=False)
+    x = try_solve(a, b)
+    if x is None:
+        raise SingularSystemError("singular linear system" + (f": {context}" if context else ""))
+    return x

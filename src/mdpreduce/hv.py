@@ -24,9 +24,12 @@ from .errors import CertificateError, InstanceFormatError
 from .model import (
     PackedMdp,
     RateMdp,
+    _as_index,
+    _as_number,
     _dumps_table,
     _first_violation,
     _json_block,
+    _require_keys,
     _row_sums_in_order,
     from_packed,
     instance_from_obj,
@@ -79,12 +82,22 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
     """Raise ValueError unless every DiscountedMdp invariant holds:
     probability rows (a valid rate MDP, so nonnegative, summing to 1 within
     1e-12), a single cost-free absorbing action at the absorbing state,
-    beta in [0, 1)."""
+    beta in [0, 1), and an origin that fits the instance: one finite
+    ``mu`` entry >= 1 (within the certificate slack) per state but the
+    sink, and an ``ell`` among those states."""
     base = dmdp.base
     if not 0.0 <= dmdp.beta < 1.0:
         raise ValueError(f"discount factor {dmdp.beta} outside [0, 1)")
     if not 0 <= dmdp.absorbing_state < base.n_states:
         raise ValueError(f"absorbing state {dmdp.absorbing_state} out of range")
+    origin, n = dmdp.origin, base.n_states - 1  # the states but the sink
+    if origin is not None:
+        if origin.mu.shape != (n,):
+            raise ValueError(f"origin mu has {origin.mu.size} entries for {n} states")
+        if not np.all(np.isfinite(origin.mu) & (origin.mu >= 1.0 - CERT_SLACK)):
+            raise ValueError("origin mu must be finite and at least 1")
+        if origin.ell is not None and not 0 <= origin.ell < n:
+            raise ValueError(f"origin state {origin.ell} out of range")
     table = base.packed
     sums = table.row_sums()
     bad_sum = np.flatnonzero(np.abs(sums - 1.0) > ROW_TOL)
@@ -303,31 +316,28 @@ def discounted_from_obj(obj) -> DiscountedMdp:
     if not isinstance(obj, dict) or "discounted" not in obj:
         raise InstanceFormatError("missing 'discounted' header")
     header = obj["discounted"]
-    rest = {k: v for k, v in obj.items() if k != "discounted"}
-    base = instance_from_obj(rest)
+    base = instance_from_obj({k: v for k, v in obj.items() if k != "discounted"})
     if not isinstance(header, dict):
         raise InstanceFormatError("'discounted' header must be an object")
-    unknown = set(header) - {"beta", "absorbing_state", "origin"}
-    if unknown:
-        raise InstanceFormatError(f"unknown field '{sorted(unknown)[0]}' in 'discounted' header")
-    for key in ("beta", "absorbing_state", "origin"):
-        if key not in header:
-            raise InstanceFormatError(f"missing field '{key}' in 'discounted' header")
-    raw_origin = header["origin"]
-    origin: ReductionOrigin | None
-    if raw_origin is None:
-        origin = None
-    elif isinstance(raw_origin, dict) and raw_origin.get("kind") == "hv":
-        if set(raw_origin) != {"kind", "mu"}:
-            raise InstanceFormatError("hv origin must carry exactly 'kind' and 'mu'")
-        origin = ReductionOrigin(mu=np.asarray(raw_origin["mu"], dtype=float))
-    elif isinstance(raw_origin, dict) and raw_origin.get("kind") == "hvag":
-        if set(raw_origin) != {"kind", "mu", "ell"}:
-            raise InstanceFormatError("hvag origin must carry exactly 'kind', 'mu' and 'ell'")
-        origin = ReductionOrigin(np.asarray(raw_origin["mu"], dtype=float), int(raw_origin["ell"]))
-    else:
-        raise InstanceFormatError("unrecognized 'origin' in 'discounted' header")
-    dmdp = DiscountedMdp(base, int(header["absorbing_state"]), float(header["beta"]), origin)
+    keys = ("beta", "absorbing_state", "origin")
+    _require_keys(header, set(keys), keys, "discounted")
+    n, labels = base.n_states, base.state_labels
+    index = None if labels is None else {label: y for y, label in enumerate(labels)}
+    spec = header["origin"]
+    origin = None
+    if spec is not None:
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if kind not in ("hv", "hvag"):
+            raise InstanceFormatError("unrecognized 'origin' in 'discounted' header")
+        fields = ("kind", "mu", "ell")[: 2 if kind == "hv" else 3]
+        _require_keys(spec, set(fields), fields, "discounted.origin")
+        if not isinstance(spec["mu"], list):
+            raise InstanceFormatError("'mu' must be an array at discounted.origin")
+        mu = [_as_number(m, f"discounted.origin.mu[{i}]") for i, m in enumerate(spec["mu"])]
+        ell = None if kind == "hv" else _as_index(spec["ell"], n - 1, index, "discounted.origin.ell")
+        origin = ReductionOrigin(np.array(mu, dtype=float), ell)
+    absorbing = _as_index(header["absorbing_state"], n, index, "discounted.absorbing_state")
+    dmdp = DiscountedMdp(base, absorbing, _as_number(header["beta"], "discounted.beta"), origin)
     check_discounted(dmdp)
     return dmdp
 

@@ -23,7 +23,6 @@ from .model import (
     enumerate_policies,
     policy_matrices,
 )
-from .transience import NEG_INVERSE_TOL
 
 #: A policy counts as optimal when it attains the optimal value everywhere
 #: within this tolerance.
@@ -64,22 +63,24 @@ def brute_force_total(
     """Total-cost optimum by policy enumeration: v_phi = (I - Q_phi)^-1 c_phi
     for every policy, minimized pointwise.
 
-    Requires transience to be certified beforehand; hitting a policy that
-    fails the M-matrix check is therefore a hard error, not a witness.
+    Each policy costs one LU of I - Q_phi and one solve for the lifetime
+    tau and v_phi together; the policy is transient exactly when tau > 0,
+    the test of :func:`~mdpreduce.transience.evaluate_lifetime`.  Requires
+    transience to be certified beforehand; hitting a policy that fails
+    the test is therefore a hard error, not a witness.
     """
     _check_caps(mdp, max_states, max_actions)
-    n = mdp.n_states
-    eye = np.eye(n)
+    eye = np.eye(mdp.n_states)
     per_policy: dict[StationaryPolicy, np.ndarray] = {}
     for phi in enumerate_policies(mdp, cap=policy_cap):
         pm = policy_matrices(mdp, phi)
-        inv = _linalg.inverse(eye - pm.Q)
-        if inv is None or np.any(inv < -NEG_INVERSE_TOL):
+        solved = _linalg.try_solve(eye - pm.Q, np.column_stack((np.ones_like(pm.c), pm.c)))
+        if solved is None or not np.all(solved[:, 0] > 0.0):
             raise NonTransientPolicyError(
                 f"policy {tuple(phi)} is not transient although transience "
                 f"was supposedly certified"
             )
-        per_policy[phi] = inv @ pm.c
+        per_policy[phi] = solved[:, 1]
     optimal_value = np.min(np.stack(list(per_policy.values())), axis=0)
     optimal = tuple(
         phi

@@ -2,11 +2,11 @@
 
 An instance is *transient* when the expected-lifetime matrices
 ``sum_n Q_phi^n`` are uniformly bounded over stationary policies.  The
-checker here is policy iteration on the lifetime-maximization problem:
-every evaluated policy is certified by the M-matrix criterion (for
-nonnegative Q, the spectral radius is below one iff I - Q is nonsingular
-with an entrywise-nonnegative inverse), and the terminal lifetime vector
-``mu`` is a certificate that covers *all* policies, since it satisfies
+checker here is policy iteration on the lifetime-maximization problem.
+Each evaluated policy costs one LU of I - Q_phi and one solve of
+(I - Q_phi) tau = 1, and it is transient exactly when tau > 0 (see
+:func:`evaluate_lifetime`).  The terminal lifetime vector ``mu`` is a
+certificate that covers *all* policies, since it satisfies
 
     mu(x) >= 1 + sum_y q(y | x, a) mu(y)    for every (x, a).
 
@@ -30,11 +30,9 @@ from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed, policy_mat
 #: Slack allowed when re-checking certificate inequalities.
 CERT_SLACK = 1e-9
 
-#: Strict-improvement threshold for lifetime policy iteration.
+#: Strict-improvement threshold for lifetime policy iteration, relative
+#: to the incumbent's lifetime.
 IMPROVE_TOL = 1e-12
-
-#: Inverse entries below this are treated as genuinely negative.
-NEG_INVERSE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,9 @@ class SingularSystem:
 
 @dataclass(frozen=True)
 class NegativeInverseEntry:
-    """(I - Q_phi)^-1 has a negative entry in row ``state``."""
+    """The solved lifetime tau(``state``) is not positive.  Row ``state`` of
+    (I - Q_phi)^-1 sums to tau(``state``) <= 0 and is nonzero, so it holds a
+    negative entry."""
 
     state: int
 
@@ -126,24 +126,27 @@ def certificate_residual(
 
 def _evaluate(table: PackedMdp, phi: StationaryPolicy):
     Q = table.policy(phi).Q
-    inv = _linalg.inverse(np.eye(len(Q)) - Q)
-    if inv is None:
+    tau = _linalg.try_solve(np.eye(len(Q)) - Q, np.ones(len(Q)))
+    if tau is None:
         return NonTransienceWitness(policy=phi, evidence=SingularSystem())
-    negative = np.argwhere(inv < -NEG_INVERSE_TOL)
-    if negative.size:
-        state = int(negative[0][0])
-        return NonTransienceWitness(
-            policy=phi, evidence=NegativeInverseEntry(state=state)
-        )
-    return inv.sum(axis=1)
+    failed = np.flatnonzero(~(tau > 0.0))  # NaN fails too
+    if failed.size:
+        return NonTransienceWitness(phi, NegativeInverseEntry(state=int(failed[0])))
+    return tau
 
 
 def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
     """Expected lifetime tau of ``phi``: the solution of (I - Q_phi) tau = 1.
 
-    The M-matrix criterion certifies transience of the policy: the inverse
-    of I - Q_phi must exist and be entrywise nonnegative.  Returns the tau
-    vector (>= 1 entrywise) or a NonTransienceWitness.
+    One LU and one solve decide transience, since Q_phi >= 0:
+
+    - if tau > 0, then Q tau = tau - 1 <= (1 - 1/max tau) tau, so by
+      Collatz-Wielandt rho(Q) <= 1 - 1/max tau < 1;
+    - if rho(Q) < 1, then tau = sum_n Q^n 1 >= 1.
+
+    Returns the tau vector, or a NonTransienceWitness: SingularSystem when
+    I - Q_phi is numerically singular, else NegativeInverseEntry at the
+    first state with tau <= 0.
     """
     return _evaluate(mdp.packed, phi)
 
@@ -151,12 +154,13 @@ def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
 def _greedy_lifetime_improvement(table: PackedMdp, phi: StationaryPolicy, tau):
     """One round of greedy improvement on 1 + sum q(y|x,a) tau(y): a state
     moves to its first maximizing action when that beats tau(x) by more
-    than 1e-12, and otherwise keeps its action.  Reports whether the policy
-    changed: at large K the incumbent's own value can beat tau(x) by more
-    than 1e-12 of round-off, which is no improvement."""
+    than 1e-12 tau(x), and otherwise keeps its action.  Reports whether the
+    policy changed.  The test is relative because the round-off in
+    1 + R tau grows with tau: at K = 1e6 it is a few ulps of 1e6, about
+    1e-9, which no absolute 1e-12 can absorb."""
     low, best = table.state_argmin(-(1.0 + table.R @ tau))
     current = np.asarray(phi.choice)
-    choice = np.where(-low > tau + IMPROVE_TOL, best, current)
+    choice = np.where(-low > tau * (1.0 + IMPROVE_TOL), best, current)
     return StationaryPolicy(tuple(choice.tolist())), bool(np.any(choice != current))
 
 
@@ -185,7 +189,7 @@ def maximize_lifetime(mdp: RateMdp):
     """Exact mu = sup over policies of the expected lifetime, by policy
     iteration; doubles as the transience checker.
 
-    Any evaluated policy that fails the M-matrix check aborts with its
+    Any evaluated policy whose lifetime tau is not positive aborts with its
     NonTransienceWitness (the instance is then not transient, since the
     lifetime sup is infinite).  On success the returned certificate's mu is
     a fixed point of the lifetime operator and bounds every policy.  Raises

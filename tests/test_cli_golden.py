@@ -30,10 +30,10 @@ GOLDEN = {
     ("ht", "gen"): "5d0c7e1283caa7ec7811776924e23956df8a38fbdff9f98b5c6fe07d15c41e12",
     ("transient", "check"): "b7e51d31397bd8e27442c842907e1ddb480f69be2a8eab9d48b5aac81451e9c4",
     ("ht", "check --state 0"): "0910fab85c22aab6378b5e8d810ad1424c6d48446b718f7931adc38d3d71d964",
-    ("transient", "transform --kind hv"): "304d47af92baee8fd6369b9dbd2c48b3f5491334d50537f08465fdc582584db5",
-    ("ht", "transform --kind hvag --state 0"): "05e9199b9f0f1ef9feffcad619abcc78570f3a1ff531e1eed344742d4f559901",
-    ("transient", "emit-lp --kind hv"): "64333dfa121a517719ea65ef42cf4ac6e44af7824da42a08a9263ad60c35afb7",
-    ("ht", "emit-lp --kind hvag --state 0"): "585f8cbc423fb14162025ea5db1fb53297c9a4dd5bda7d8079334a16a69f9496",
+    ("transient", "transform --kind hv"): "666f416469bd99287772de707e57695d09e2a229e7326cc5e01e6fd0e57f615f",
+    ("ht", "transform --kind hvag --state 0"): "6be085f775255956086a7cff3d8c9fee721a1b47d6b7cd8b5d3dd312c8ae6395",
+    ("transient", "emit-lp --kind hv"): "5349a631e2f85e980fca6066303c260afe0fa3fde846c72c6dacfbbec1e2e096",
+    ("ht", "emit-lp --kind hvag --state 0"): "d44392066dedb12ed68c908e385a2b060b84e80ade8ddd420d8395bacd354f78",
     ("transient", "solve-total --method vi"): "dcdf35f908d889d312fa24a5519f26c6d1d396fc19172298ce1b557d0a74b949",
     ("transient", "solve-total --method howard"): "d29d478603fc80f2e37436b0b22d128b25aa7e96fc7ef88b695bed2b495f3881",
     ("transient", "solve-total --method dantzig"): "09f16e7986cdae20fc7b8ddad04393707bbd16ac973d84cb26026c3d37dbfa0a",

@@ -8,6 +8,7 @@ returns a valid instance table-backed, and an instance that parses but
 breaks an invariant built from tuples, for ``validate`` to word.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -29,6 +30,7 @@ from mdpreduce import (
     ReductionOrigin,
     Substochastic,
     build_hv,
+    check_discounted,
     dumps_discounted,
     dumps_instance,
     emit_lp,
@@ -302,3 +304,57 @@ class TestFormatErrors:
         assert mdp.packed.R.indices.tolist() == [1, 0]
         assert mdp.packed.R.data.tolist() == [1.0, 0.5]
         assert np.array_equal(mdp.packed.first, [0, 1, 2])
+
+
+def discounted_doc(**header):
+    """The file of a 4-state instance's reduction, with header fields replaced."""
+    spec = GenSpec(n_states=4, max_actions=2, rate_class=Substochastic((0.2, 0.4)), seed=3)
+    mdp = gen_transient(spec)
+    obj = json.loads(dumps_discounted(build_hv(mdp, maximize_lifetime(mdp))))
+    for key, value in header.items():
+        if key in ("mu", "ell", "kind"):
+            obj["discounted"]["origin"][key] = value
+        else:
+            obj["discounted"][key] = value
+    return json.dumps(obj)
+
+
+HEADER_ERRORS = [
+    ({"beta": [1]}, InstanceFormatError, "expected a number at discounted.beta, got [1]"),
+    ({"beta": "0.5"}, InstanceFormatError, "expected a number at discounted.beta, got '0.5'"),
+    ({"absorbing_state": 1.5}, InstanceFormatError,
+     "expected a state at discounted.absorbing_state, got 1.5"),
+    ({"absorbing_state": 5}, InstanceFormatError,
+     "state index 5 out of range at discounted.absorbing_state"),
+    ({"mu": "abc"}, InstanceFormatError, "'mu' must be an array at discounted.origin"),
+    ({"mu": [2.0, "abc", 2.0, 2.0]}, InstanceFormatError,
+     "expected a number at discounted.origin.mu[1], got 'abc'"),
+    ({"mu": [1.0]}, ValueError, "origin mu has 1 entries for 4 states"),
+    ({"mu": [2.0, 0.5, 2.0, 2.0]}, ValueError, "origin mu must be finite and at least 1"),
+    ({"mu": [2.0, float("nan"), 2.0, 2.0]}, ValueError, "origin mu must be finite and at least 1"),
+    ({"kind": "hvag", "ell": 4}, InstanceFormatError,
+     "state index 4 out of range at discounted.origin.ell"),
+    ({"kind": "hvag", "ell": 1.0}, InstanceFormatError,
+     "expected a state at discounted.origin.ell, got 1.0"),
+    ({"kind": "hvag"}, InstanceFormatError, "missing field 'ell' at discounted.origin"),
+    ({"ell": 0}, InstanceFormatError, "unknown field 'ell' at discounted.origin"),
+    ({"gamma": 0.5}, InstanceFormatError, "unknown field 'gamma' at discounted"),
+]
+
+
+class TestDiscountedHeader:
+    @pytest.mark.parametrize("header, error, message", HEADER_ERRORS)
+    def test_is_checked_against_its_instance(self, header, error, message):
+        with pytest.raises(error) as info:
+            loads_discounted(discounted_doc(**header))
+        assert str(info.value) == message
+
+    def test_hvag_origin_inside_the_instance_loads(self):
+        dmdp = loads_discounted(discounted_doc(kind="hvag", ell=3))
+        assert dmdp.origin.kind == "hvag" and dmdp.origin.ell == 3
+
+    def test_check_discounted_rejects_an_origin_state_at_the_sink(self):
+        dmdp = loads_discounted(discounted_doc())
+        bad = dataclasses.replace(dmdp, origin=ReductionOrigin(dmdp.origin.mu, ell=4))
+        with pytest.raises(ValueError, match=r"^origin state 4 out of range$"):
+            check_discounted(bad)
