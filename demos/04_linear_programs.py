@@ -44,8 +44,10 @@ print(emit_lp(dmdp))
 print("== occupation measures are its feasible points ==")
 report = howard_pi(dmdp)
 measure = occupation_measure(dmdp, report.policy)
+table = dmdp.base.packed
+names = [f"z_{x}_{a}" for x, a in zip(table.owner.tolist(), table.local.tolist())]
 print(f"optimal policy {tuple(report.policy)}")
-print("z:", {key: round(val, 6) for key, val in measure.z.items()})
+print("z (one per row, zero off the policy):", dict(zip(names, np.round(measure.z, 6).tolist())))
 print(f"flow-constraint residuals: "
       f"{np.max(np.abs(measure.constraint_residuals(dmdp))):.2e}")
 print(f"LP objective of z: {measure.objective(dmdp):.9g}")
@@ -53,17 +55,16 @@ print(f"summed values:     {float(np.sum(report.values)):.9g}")
 print("(equal by LP duality for discounted MDPs)\n")
 
 print("== a suboptimal basis costs more ==")
-other = StationaryPolicy((1,) + tuple(report.policy)[1:])
+other = StationaryPolicy(((report.policy[0] + 1) % mdp.n_actions(0),) + tuple(report.policy)[1:])
 other_measure = occupation_measure(dmdp, other)
 print(f"policy {tuple(other)} objective: {other_measure.objective(dmdp):.9g}")
 print(f"vs optimal objective:          {measure.objective(dmdp):.9g}\n")
 
 print("== complementary slackness at the optimum ==")
 v = report.values
-for (x, a), weight in sorted(measure.z.items()):
-    act = dmdp.base.actions[x][a]
-    reduced = act.cost - v[x] + dmdp.beta * sum(p * v[y] for y, p in act.transitions)
-    print(f"z_{x}_{a} = {weight:9.6f}   reduced cost = {reduced:+.2e}")
+for row in np.flatnonzero(measure.z):
+    reduced = table.c[row] - v[table.owner[row]] + dmdp.beta * (table.R[row] @ v)[0]
+    print(f"{names[row]} = {measure.z[row]:9.6f}   reduced cost = {reduced:+.2e}")
 print()
 
 print("== the two simplex variants ==")

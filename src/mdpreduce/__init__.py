@@ -51,7 +51,6 @@ from .hvag import (
 from .model import (
     ActionData,
     PackedMdp,
-    PolicyMatrices,
     RateClass,
     RateMdp,
     StationaryPolicy,
@@ -63,7 +62,6 @@ from .model import (
     enumerate_policies,
     load_instance,
     loads_instance,
-    policy_matrices,
     validate,
 )
 from .oracle import (
@@ -133,7 +131,6 @@ __all__ = [
     "OracleResult",
     "PackedMdp",
     "PolicyCapExceeded",
-    "PolicyMatrices",
     "RateClass",
     "RateMdp",
     "ReductionOrigin",
@@ -184,7 +181,6 @@ __all__ = [
     "occupation_measure",
     "optimal_actions",
     "policy_evaluate",
-    "policy_matrices",
     "policy_spectral_radius",
     "similarity_transform",
     "solve_average_cost",

@@ -1,6 +1,7 @@
 """Dense linear-system helpers used throughout the package.
 
-Everything goes through LU with partial pivoting.  A factorization is
+Every policy's system (I - beta P) x = b goes through :func:`solve_policy`,
+and everything through LU with partial pivoting.  A factorization is
 treated as singular when its smallest pivot falls below 1e-12 times the
 largest row 1-norm of the input matrix; this keeps singularity decisions
 reproducible across platforms.
@@ -42,3 +43,11 @@ def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
     if x is None:
         raise SingularSystemError("singular linear system" + (f": {context}" if context else ""))
     return x
+
+
+def solve_policy(P, b: np.ndarray, beta: float = 1.0, context: str | None = None):
+    """Solve (I - beta P) x = b, ``P`` the n x n sparse rows of a policy, by
+    one LU of the dense matrix.  When it is singular, return None like
+    :func:`try_solve`, or raise like :func:`solve` if ``context`` is given."""
+    a = np.eye(P.shape[0]) - beta * P.toarray()
+    return try_solve(a, b) if context is None else solve(a, b, context)

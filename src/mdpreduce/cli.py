@@ -92,8 +92,6 @@ def _cmd_check(args) -> int:
         print(f"mu: {_fmt_vec(result.mu)}")
         return EXIT_OK
     ell = args.state
-    if not 0 <= ell < mdp.n_states:
-        raise InstanceFormatError(f"state index {ell} out of range")
     result = check_ht(mdp, ell)
     if isinstance(result, NonTransienceWitness):
         print(f"ht_holds_at_{ell}: no")
@@ -161,23 +159,6 @@ def _cmd_solve_average(args) -> int:
     return EXIT_OK
 
 
-def _transformed(args):
-    mdp, _ = _load(args.input)
-    if args.kind == "hv":
-        if args.state is not None:
-            raise InstanceFormatError("--state only applies to --kind hvag")
-        cert = maximize_lifetime(mdp)
-        if isinstance(cert, NonTransienceWitness):
-            return None, cert
-        return build_hv(mdp, cert, beta=args.beta), None
-    if args.state is None:
-        raise InstanceFormatError("--state is required with --kind hvag")
-    cert = check_ht(mdp, args.state)
-    if isinstance(cert, NonTransienceWitness):
-        return None, cert
-    return build_hvag(mdp, cert, beta=args.beta), None
-
-
 def _write_out(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -187,22 +168,21 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _cmd_transform(args) -> int:
-    dmdp, witness = _transformed(args)
-    if witness is not None:
+    """``transform`` and ``emit-lp``: build the reduction, write it with ``args.writer``."""
+    mdp, _ = _load(args.input)
+    if args.kind == "hv":
+        if args.state is not None:
+            raise InstanceFormatError("--state only applies to --kind hvag")
+        cert, build = maximize_lifetime(mdp), build_hv
+    else:
+        if args.state is None:
+            raise InstanceFormatError("--state is required with --kind hvag")
+        cert, build = check_ht(mdp, args.state), build_hvag
+    if isinstance(cert, NonTransienceWitness):
         print("assumption_holds: no")
-        _print_witness(witness)
+        _print_witness(cert)
         return EXIT_ASSUMPTION
-    _write_out(dumps_discounted(dmdp), args.output)
-    return EXIT_OK
-
-
-def _cmd_emit_lp(args) -> int:
-    dmdp, witness = _transformed(args)
-    if witness is not None:
-        print("assumption_holds: no")
-        _print_witness(witness)
-        return EXIT_ASSUMPTION
-    _write_out(emit_lp(dmdp), args.output)
+    _write_out(args.writer(build(mdp, cert, beta=args.beta)), args.output)
     return EXIT_OK
 
 
@@ -289,7 +269,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--state", type=int, default=None, metavar="L")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_transform, writer=dumps_discounted)
 
     p = sub.add_parser("emit-lp", help="emit the occupation-measure LP")
     add_common(p)
@@ -297,7 +277,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--state", type=int, default=None, metavar="L")
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(func=_cmd_emit_lp)
+    p.set_defaults(func=_cmd_transform, writer=emit_lp)
 
     p = sub.add_parser("gen", help="generate a random instance")
     p.add_argument("--kind", choices=("transient", "ht"), required=True)

@@ -256,15 +256,19 @@ def lift_total_value(dv: np.ndarray, mu: np.ndarray) -> np.ndarray:
     ``dv`` runs over the augmented state space with the absorbing state
     last; its value there must be zero (the state is cost-free).
     """
-    dv = np.asarray(dv, dtype=float)
     mu = np.asarray(mu, dtype=float)
+    return mu * _without_sink(dv, mu)
+
+
+def _without_sink(dv: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The entries of ``dv`` but the absorbing state's, after checking that
+    ``dv`` has one more entry than ``mu`` and is zero at the sink."""
+    dv = np.asarray(dv, dtype=float)
     if len(dv) != len(mu) + 1:
         raise ValueError(f"expected {len(mu) + 1} values, got {len(dv)}")
     if abs(dv[-1]) > 1e-12:
-        raise ValueError(
-            f"absorbing-state value must be 0, got {dv[-1]!r}"
-        )
-    return mu * dv[:-1]
+        raise ValueError(f"absorbing-state value must be 0, got {dv[-1]!r}")
+    return dv[:-1]
 
 
 def total_optimal_actions(mdp: RateMdp, v: np.ndarray, tol: float):
@@ -344,7 +348,9 @@ def discounted_from_obj(obj) -> DiscountedMdp:
 
 def dumps_discounted(dmdp: DiscountedMdp) -> str:
     """The discounted instance file: the bytes of ``json.dumps`` with
-    ``indent=2``, written from the base instance's packed table."""
+    ``indent=2``, written from the base instance's packed table.  Raises
+    ValueError when :func:`check_discounted` rejects the instance."""
+    check_discounted(dmdp)
     origin = dmdp.origin
     described = "null"
     if origin is not None:

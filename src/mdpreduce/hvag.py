@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AcoeResidualError
-from .hv import DiscountedMdp, admissible_beta, rescale
+from .hv import DiscountedMdp, _without_sink, admissible_beta, rescale
 from .model import RateClass, RateMdp, classify_rates
 from .transience import HtCertificate, check_ht
 
@@ -82,15 +82,9 @@ def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolu
     ``dv`` runs over the augmented state space with the absorbing state
     last; its value there must be zero.
     """
-    dv = np.asarray(dv, dtype=float)
-    mu = cert.mu
-    if len(dv) != len(mu) + 1:
-        raise ValueError(f"expected {len(mu) + 1} values, got {len(dv)}")
-    if abs(dv[-1]) > 1e-12:
-        raise ValueError(f"absorbing-state value must be 0, got {dv[-1]!r}")
-    w = float(dv[cert.ell])
-    h = mu * (dv[:-1] - w)
-    return AverageSolution(w=w, h=h, ell=cert.ell)
+    v = _without_sink(dv, cert.mu)
+    w = float(v[cert.ell])
+    return AverageSolution(w=w, h=cert.mu * (v - w), ell=cert.ell)
 
 
 def acoe_residuals(mdp: RateMdp, sol: AverageSolution) -> np.ndarray:

@@ -77,13 +77,6 @@ class ActionData:
     def row_sum(self) -> float:
         return float(sum(r for _, r in self.transitions))
 
-    def rate_to(self, target: int) -> float:
-        """Rate carried into ``target`` (0.0 when absent from the sparse list)."""
-        for t, r in self.transitions:
-            if t == target:
-                return r
-        return 0.0
-
 
 @dataclass(frozen=True)
 class RateMdp:
@@ -166,14 +159,6 @@ class StationaryPolicy:
         return iter(self.choice)
 
 
-@dataclass(frozen=True)
-class PolicyMatrices:
-    """Dense one-step data of a policy: Q[x, y] = q(y | x, phi(x)), c[x] = c(x, phi(x))."""
-
-    Q: np.ndarray
-    c: np.ndarray
-
-
 @dataclass(frozen=True, eq=False)
 class PackedMdp:
     """The state-action rows of an instance, state-major, action-minor.
@@ -239,16 +224,19 @@ class PackedMdp:
             )
         return self.first[:-1] + choice
 
-    def policy(self, phi) -> PolicyMatrices:
-        """Dense transition matrix and cost vector of the policy ``phi``."""
+    def policy(self, phi) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """The rows of the policy ``phi``: its n x n sparse rates
+        ``P[x, y] = q(y | x, phi(x))`` and its costs ``c[x] = c(x, phi(x))``."""
         rows = self.rows(phi)
-        return PolicyMatrices(Q=self.R[rows].toarray(), c=self.c[rows])
+        return self.R[rows], self.c[rows]
 
     def without_column(self, ell: int) -> PackedMdp:
-        """The same table with every rate into state ``ell`` set to zero."""
-        R = self.R.copy()
-        R.data[R.indices == ell] = 0.0
-        return PackedMdp(self.c, R, self.first)
+        """The same table with every rate into state ``ell`` removed."""
+        R = self.R
+        keep = R.indices != ell
+        indptr = np.append(0, np.cumsum(keep))[R.indptr]
+        cut = sparse.csr_matrix((R.data[keep], R.indices[keep], indptr), shape=R.shape)
+        return PackedMdp(self.c, cut, self.first)
 
     def row_sums(self, data: np.ndarray | None = None) -> np.ndarray:
         """Sum of each row of ``R`` (or of ``data`` laid out like ``R.data``),
@@ -424,11 +412,6 @@ def classify_rates(mdp: RateMdp) -> RateClass:
     """Stochastic (all row sums 1 within 1e-12), substochastic (all <= 1 + 1e-12),
     or general rates."""
     return _classify(mdp.packed.row_sums())
-
-
-def policy_matrices(mdp: RateMdp, phi: StationaryPolicy) -> PolicyMatrices:
-    """Assemble the dense transition matrix and cost vector of ``phi``."""
-    return mdp.packed.policy(phi)
 
 
 def count_policies(mdp: RateMdp) -> int:

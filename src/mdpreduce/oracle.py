@@ -21,7 +21,6 @@ from .model import (
     StationaryPolicy,
     classify_rates,
     enumerate_policies,
-    policy_matrices,
 )
 
 #: A policy counts as optimal when it attains the optimal value everywhere
@@ -70,11 +69,10 @@ def brute_force_total(
     the test is therefore a hard error, not a witness.
     """
     _check_caps(mdp, max_states, max_actions)
-    eye = np.eye(mdp.n_states)
     per_policy: dict[StationaryPolicy, np.ndarray] = {}
     for phi in enumerate_policies(mdp, cap=policy_cap):
-        pm = policy_matrices(mdp, phi)
-        solved = _linalg.try_solve(eye - pm.Q, np.column_stack((np.ones_like(pm.c), pm.c)))
+        P, c = mdp.packed.policy(phi)
+        solved = _linalg.solve_policy(P, np.column_stack((np.ones_like(c), c)))
         if solved is None or not np.all(solved[:, 0] > 0.0):
             raise NonTransientPolicyError(
                 f"policy {tuple(phi)} is not transient although transience "
@@ -102,9 +100,8 @@ def stationary_distribution(mdp: RateMdp, phi: StationaryPolicy) -> np.ndarray:
     A singular system beyond the replaced constraint means the chain is not
     unichain, i.e. a bounded-hitting-time certificate was violated.
     """
-    pm = policy_matrices(mdp, phi)
     n = mdp.n_states
-    A = (np.eye(n) - pm.Q).T
+    A = (np.eye(n) - mdp.packed.policy(phi)[0].toarray()).T
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
@@ -120,7 +117,7 @@ def stationary_distribution(mdp: RateMdp, phi: StationaryPolicy) -> np.ndarray:
 def average_cost_of_policy(mdp: RateMdp, phi: StationaryPolicy) -> float:
     """Long-run average cost of ``phi`` via its stationary distribution."""
     pi = stationary_distribution(mdp, phi)
-    return float(pi @ policy_matrices(mdp, phi).c)
+    return float(pi @ mdp.packed.policy(phi)[1])
 
 
 def brute_force_average(
@@ -165,10 +162,10 @@ def cesaro_check(mdp: RateMdp, phi: StationaryPolicy, N: int) -> np.ndarray:
     linear-algebra-free oracle for the average cost (accurate to O(1/N))."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    pm = policy_matrices(mdp, phi)
-    term = pm.c.copy()
-    total = pm.c.copy()
+    P, c = mdp.packed.policy(phi)
+    term = c
+    total = c.copy()
     for _ in range(1, N):
-        term = pm.Q @ term
+        term = P @ term
         total += term
     return total / N

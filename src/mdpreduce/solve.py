@@ -23,7 +23,7 @@ from scipy import sparse
 from . import _linalg
 from .errors import NotConvergedWithinBudget
 from .hv import DiscountedMdp, check_discounted
-from .model import PackedMdp, StationaryPolicy, policy_matrices
+from .model import PackedMdp, StationaryPolicy
 
 #: Strict-improvement threshold for policy iteration; avoids cycling under
 #: floating-point ties.
@@ -53,25 +53,24 @@ class SolveReport:
 
 @dataclass(frozen=True)
 class OccupationMeasure:
-    """LP variables z(x, a): discounted expected state-action visitation."""
+    """LP variables z (m,): the discounted expected visits of each packed row."""
 
-    z: dict[tuple[int, int], float]
+    z: np.ndarray
 
-    def _rows(self, table: PackedMdp):
-        rows = np.array([table.row(x, a) for x, a in self.z], dtype=np.intp)
-        return rows, np.fromiter(self.z.values(), dtype=float, count=len(self.z))
+    def __post_init__(self):
+        z = np.asarray(self.z, dtype=float)
+        z.flags.writeable = False
+        object.__setattr__(self, "z", z)
 
     def objective(self, dmdp: DiscountedMdp) -> float:
-        rows, weights = self._rows(dmdp.base.packed)
-        return float(dmdp.base.packed.c[rows] @ weights)
+        return float(dmdp.base.packed.c @ self.z)
 
     def constraint_residuals(self, dmdp: DiscountedMdp) -> np.ndarray:
         """Per-state violation of
         sum_a z(x,a) - beta sum_{y,a} p(x|y,a) z(y,a) = 1."""
         table = dmdp.base.packed
-        rows, weights = self._rows(table)
-        inflow = table.R[rows].T @ weights
-        return np.bincount(table.owner[rows], weights, dmdp.n_states) - 1.0 - dmdp.beta * inflow
+        inflow = table.R.T @ self.z
+        return np.bincount(table.owner, self.z, dmdp.n_states) - 1.0 - dmdp.beta * inflow
 
 
 def _bellman(table: PackedMdp, beta: float, v: np.ndarray):
@@ -85,13 +84,10 @@ def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
     The system is nonsingular for beta < 1 because P_phi is stochastic
     (strict diagonal dominance).  At beta = 0 the value is just c_phi.
     """
-    pm = policy_matrices(dmdp.base, phi)
+    P, c = dmdp.base.packed.policy(phi)
     if dmdp.beta == 0.0:
-        return pm.c.copy()
-    n = dmdp.n_states
-    return _linalg.solve(
-        np.eye(n) - dmdp.beta * pm.Q, pm.c, context="discounted policy evaluation"
-    )
+        return c
+    return _linalg.solve_policy(P, c, dmdp.beta, context="discounted policy evaluation")
 
 
 def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
@@ -254,18 +250,18 @@ def solve(dmdp: DiscountedMdp, method: str = "howard", **kwargs) -> SolveReport:
 
 def occupation_measure(dmdp: DiscountedMdp, phi: StationaryPolicy) -> OccupationMeasure:
     """The feasible point of the occupation-measure LP induced by ``phi``:
-    z(x, phi(x)) solves z (I - beta P_phi) = 1 with all other entries zero.
+    z on the rows of ``phi`` solves z (I - beta P_phi) = 1, and z is zero
+    on every other row.
 
     Its objective equals the summed policy values sum_x v_phi(x).
     """
-    pm = policy_matrices(dmdp.base, phi)
-    n = dmdp.n_states
-    z = _linalg.solve(
-        (np.eye(n) - dmdp.beta * pm.Q).T,
-        np.ones(n),
-        context="occupation measure",
+    table = dmdp.base.packed
+    P, _ = table.policy(phi)
+    z = np.zeros(len(table.c))
+    z[table.rows(phi)] = _linalg.solve_policy(
+        P.T, np.ones(dmdp.n_states), dmdp.beta, context="occupation measure"
     )
-    return OccupationMeasure(z={(x, phi[x]): float(z[x]) for x in range(n)})
+    return OccupationMeasure(z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +303,10 @@ def emit_lp(dmdp: DiscountedMdp) -> str:
 
     Variables are named z_<state>_<action>; ordering is state-major,
     action-minor; coefficients carry 17 significant digits.  Output is
-    deterministic byte-for-byte.
+    deterministic byte-for-byte.  Raises ValueError when
+    :func:`~mdpreduce.hv.check_discounted` rejects the instance.
     """
+    check_discounted(dmdp)
     table = dmdp.base.packed
     beta = dmdp.beta
     n, m = len(table.first) - 1, len(table.c)

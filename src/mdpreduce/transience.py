@@ -11,7 +11,7 @@ certificate that covers *all* policies, since it satisfies
     mu(x) >= 1 + sum_y q(y | x, a) mu(y)    for every (x, a).
 
 The same machinery run on a truncated instance (all rates into one state
-``ell`` zeroed) checks the bounded-hitting-time condition used by the
+``ell`` removed) checks the bounded-hitting-time condition used by the
 average-cost reduction.
 """
 
@@ -21,11 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import _linalg
 from .errors import NotConvergedWithinBudget
-from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed, policy_matrices
+from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed
 
 #: Slack allowed when re-checking certificate inequalities.
 CERT_SLACK = 1e-9
@@ -107,8 +106,7 @@ class MuIterationResult:
 
 def policy_spectral_radius(mdp: RateMdp, phi: StationaryPolicy) -> float:
     """Spectral radius of Q_phi; used to re-check a NonTransienceWitness."""
-    Q = policy_matrices(mdp, phi).Q
-    return float(np.abs(np.linalg.eigvals(Q)).max())
+    return float(np.abs(np.linalg.eigvals(mdp.packed.policy(phi)[0].toarray())).max())
 
 
 def certificate_residual(
@@ -125,8 +123,8 @@ def certificate_residual(
 
 
 def _evaluate(table: PackedMdp, phi: StationaryPolicy):
-    Q = table.policy(phi).Q
-    tau = _linalg.try_solve(np.eye(len(Q)) - Q, np.ones(len(Q)))
+    P, _ = table.policy(phi)
+    tau = _linalg.solve_policy(P, np.ones(P.shape[0]))
     if tau is None:
         return NonTransienceWitness(policy=phi, evidence=SingularSystem())
     failed = np.flatnonzero(~(tau > 0.0))  # NaN fails too
@@ -248,12 +246,7 @@ def truncate_at_state(mdp: RateMdp, ell: int) -> RateMdp:
     """Copy of the instance with every transition *into* ``ell`` removed."""
     if not 0 <= ell < mdp.n_states:
         raise ValueError(f"state index {ell} out of range")
-    table = mdp.packed
-    R = table.R
-    keep = R.indices != ell
-    indptr = np.append(0, np.cumsum(keep))[R.indptr]
-    cut = sparse.csr_matrix((R.data[keep], R.indices[keep], indptr), shape=R.shape)
-    return from_packed(PackedMdp(table.c, cut, table.first), mdp.row_names(), mdp.state_labels)
+    return from_packed(mdp.packed.without_column(ell), mdp.row_names(), mdp.state_labels)
 
 
 def check_ht(mdp: RateMdp, ell: int):

@@ -40,7 +40,6 @@ from mdpreduce import (
     occupation_measure,
     optimal_actions,
     policy_evaluate,
-    policy_matrices,
     similarity_transform,
     solve_average_cost,
     solve_total_cost,
@@ -238,8 +237,8 @@ def test_criterion_5_policy_value_correspondence(transient_corpus):
             n = case.mdp.n_states
             eye = np.eye(n)
             for phi in enumerate_policies(case.mdp):
-                pm = policy_matrices(case.mdp, phi)
-                v = lu_solve(eye - pm.Q, pm.c)
+                P, c = case.mdp.packed.policy(phi)
+                v = lu_solve(eye - P.toarray(), c)
                 dv = policy_evaluate(case.dmdp, extend(phi))
                 assert np.max(np.abs(v - case.cert.mu * dv[:n])) <= 1e-9, (
                     f"seed {case.seed}, policy {tuple(phi)}"
@@ -257,8 +256,8 @@ def test_criterion_6_policy_average_correspondence(ht_corpus):
             for phi in enumerate_policies(case.mdp):
                 dv = policy_evaluate(case.dmdp, extend(phi))
                 h = mu * (dv[:n] - dv[ell])
-                pm = policy_matrices(case.mdp, phi)
-                residual = dv[ell] + h - (pm.c + pm.Q @ h)
+                P, c = case.mdp.packed.policy(phi)
+                residual = dv[ell] + h - (c + P @ h)
                 assert np.max(np.abs(residual)) <= 1e-9, (
                     f"seed {case.seed}, policy {tuple(phi)}"
                 )
@@ -370,11 +369,12 @@ def test_criterion_12_lp_consistency(transient_corpus):
         for case in cases:
             measure = occupation_measure(case.dmdp, case.report.policy)
             assert np.max(np.abs(measure.constraint_residuals(case.dmdp))) <= 1e-9
-            assert all(w >= -1e-12 for w in measure.z.values())
+            assert np.all(measure.z >= -1e-12)
             expected = float(np.sum(case.report.values))
             assert abs(measure.objective(case.dmdp) - expected) <= 1e-8
             v = case.report.values
-            for (x, a), weight in measure.z.items():
+            table = case.dmdp.base.packed
+            for x, a, weight in zip(table.owner, table.local, measure.z):
                 if weight > 1e-9:
                     act = case.dmdp.base.actions[x][a]
                     reduced = act.cost - v[x] + case.dmdp.beta * sum(

@@ -248,6 +248,21 @@ class TestEmitLp:
         assert first.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, out",
+    [
+        (["check"], "max_row_sum: 1\nrate_class: stochastic\n"),
+        (["transform", "--kind", "hvag"], ""),
+        (["emit-lp", "--kind", "hvag"], ""),
+    ],
+)
+def test_state_out_of_range(capsys, cycle_file, command, out):
+    code, printed, err = run(capsys, command[0], cycle_file, *command[1:], "--state", "99")
+    assert code == 1
+    assert printed == out
+    assert err == "error: state index 99 out of range\n"
+
+
 class TestGen:
     def test_transient_instance_written(self, capsys, tmp_path):
         path = tmp_path / "gen.json"

@@ -110,7 +110,8 @@ def instances(draw):
 
 
 @st.composite
-def discounted(draw):
+def any_discounted(draw):
+    """A discounted instance, valid or not."""
     base = draw(instances())
     n = base.n_states
     origin = draw(
@@ -127,6 +128,38 @@ def discounted(draw):
     return DiscountedMdp(base, draw(st.integers(0, n - 1)), draw(st.floats()), origin)
 
 
+@st.composite
+def discounted(draw):
+    """A discounted instance that check_discounted accepts: the rows of a
+    drawn instance scaled to sum to 1 (a row of zeros moves to the sink),
+    a cost-free sink last, any beta in [0, 1) and an origin that fits."""
+    base = draw(instances())
+    n = base.n_states
+    rows = []
+    for acts in base.actions:
+        row = []
+        for act in acts:
+            total = sum(r for _, r in act.transitions)
+            if total > 0.0:
+                transitions = tuple((y, r / total) for y, r in act.transitions)
+            else:
+                transitions = act.transitions + ((n, 1.0),)
+            row.append(ActionData(act.cost, transitions, act.name))
+        rows.append(tuple(row))
+    rows.append((ActionData(0.0, ((n, 1.0),)),))
+    labels = base.state_labels
+    if labels is not None:
+        labels += (draw(text.filter(lambda label: label not in labels)),)
+    mu = st.lists(st.floats(1.0, 1e300), min_size=n, max_size=n)
+    origin = draw(
+        st.none()
+        | st.builds(ReductionOrigin, mu)
+        | st.builds(ReductionOrigin, mu, st.integers(0, n - 1))
+    )
+    beta = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return DiscountedMdp(RateMdp(n + 1, tuple(rows), labels), n, beta, origin)
+
+
 class TestWritersMatchJsonDumps:
     @settings(max_examples=150, deadline=None)
     @given(instances())
@@ -140,7 +173,29 @@ class TestWritersMatchJsonDumps:
     @settings(max_examples=150, deadline=None)
     @given(discounted())
     def test_discounted(self, dmdp):
+        check_discounted(dmdp)
         assert dumps_discounted(dmdp) == reference_text(reference_discounted_obj(dmdp))
+
+    @settings(max_examples=150, deadline=None)
+    @given(any_discounted())
+    def test_discounted_writers_refuse_what_check_discounted_rejects(self, dmdp):
+        try:
+            check_discounted(dmdp)
+        except ValueError as exc:
+            for writer in (dumps_discounted, emit_lp):
+                with pytest.raises(ValueError) as info:
+                    writer(dmdp)
+                assert str(info.value) == str(exc)
+        else:
+            assert dumps_discounted(dmdp) == reference_text(reference_discounted_obj(dmdp))
+
+    @pytest.mark.parametrize("writer", [dumps_discounted, emit_lp])
+    def test_discounted_writer_refuses_a_nan_discount_factor(self, writer):
+        spec = GenSpec(n_states=4, max_actions=2, rate_class=Substochastic((0.2, 0.4)), seed=1)
+        mdp = gen_transient(spec)
+        bad = dataclasses.replace(build_hv(mdp, maximize_lifetime(mdp)), beta=float("nan"))
+        with pytest.raises(ValueError, match=r"^discount factor nan outside \[0, 1\)$"):
+            writer(bad)
 
     def test_reductions(self):
         spec = GenSpec(n_states=9, max_actions=3, rate_class=Substochastic((0.2, 0.4)), seed=5)

@@ -83,10 +83,11 @@ class TestGenHt:
             mdp = gen_ht(stochastic_spec(seed), 0, alpha=0.2)
             assert validate(mdp).ok
             assert classify_rates(mdp) is RateClass.STOCHASTIC
-            for acts in mdp.actions:
-                for act in acts:
+            R = mdp.packed.R
+            for x, acts in enumerate(mdp.actions):
+                for a, act in enumerate(acts):
                     assert abs(act.row_sum() - 1.0) <= 1e-12
-                    assert act.rate_to(0) >= 0.2 - 1e-12
+                    assert R[mdp.packed.row(x, a), 0] >= 0.2 - 1e-12
 
     def test_every_output_certifies(self):
         for seed in range(50):

@@ -19,8 +19,8 @@ from mdpreduce import (
     maximize_lifetime,
     optimal_actions,
     policy_evaluate,
-    policy_matrices,
     similarity_transform,
+    solve_total_cost,
     total_optimal_actions,
     value_iteration,
 )
@@ -52,8 +52,9 @@ class TestBuildHv:
         assert dmdp.absorbing_state == 1
         act = dmdp.base.actions[0][0]
         assert act.cost == 0.5
-        assert act.rate_to(0) == 1.0
-        assert act.rate_to(1) == 0.0
+        R, row = dmdp.base.packed.R, dmdp.base.packed.row(0, 0)
+        assert R[row, 0] == 1.0
+        assert R[row, 1] == 0.0
 
     def test_k_equals_one_sends_all_mass_to_sink(self, mk):
         mdp = mk([[(3.0, []), (1.0, [])], [(2.0, [])]])
@@ -91,6 +92,19 @@ class TestBuildHv:
                 dmdp = build_hv(mdp, cert, beta=beta)
                 check_discounted(dmdp)
                 assert classify_rates(dmdp.base) is RateClass.STOCHASTIC
+
+    @pytest.mark.parametrize("method", ["howard", "dantzig"])
+    def test_lifted_values_invariant_across_beta_grid(self, method):
+        # the paper's claim: every beta in [(K - 1)/K, 1) lifts to the
+        # same total-cost values
+        for seed in range(10):
+            mdp = random_transient(seed, n=8)
+            default = solve_total_cost(mdp, method=method)
+            low = (default.certificate.K - 1.0) / default.certificate.K
+            for i in range(5):
+                beta = low + i * (1.0 - low) / 5.0
+                values = solve_total_cost(mdp, method=method, beta=beta).values
+                assert np.max(np.abs(values - default.values)) <= 1e-9, (seed, beta)
 
 
 class TestLiftTotalValue:
@@ -141,8 +155,8 @@ class TestPolicyCorrespondence:
             dmdp = build_hv(mdp, cert)
             n = mdp.n_states
             for phi in enumerate_policies(mdp):
-                pm = policy_matrices(mdp, phi)
-                v = lu_solve(np.eye(n) - pm.Q, pm.c)
+                P, c = mdp.packed.policy(phi)
+                v = lu_solve(np.eye(n) - P.toarray(), c)
                 dv = policy_evaluate(dmdp, extend(phi))
                 assert np.max(np.abs(v - cert.mu * dv[:n])) <= 1e-9
 

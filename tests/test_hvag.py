@@ -20,7 +20,7 @@ from mdpreduce import (
     howard_pi,
     lemma2_identity,
     policy_evaluate,
-    policy_matrices,
+    solve_average_cost,
     stationary_distribution,
     verify_acoe,
 )
@@ -49,8 +49,9 @@ class TestBuildHvag:
         a0 = dmdp.base.actions[0][0]
         a1 = dmdp.base.actions[1][0]
         assert a0.cost == 0.0 and a1.cost == 2.0
-        assert a0.rate_to(1) == 1.0 and a0.rate_to(0) == 0.0 and a0.rate_to(2) == 0.0
-        assert a1.rate_to(0) == 0.0 and a1.rate_to(2) == 1.0
+        R, r0, r1 = dmdp.base.packed.R, dmdp.base.packed.row(0, 0), dmdp.base.packed.row(1, 0)
+        assert R[r0, 1] == 1.0 and R[r0, 0] == 0.0 and R[r0, 2] == 0.0
+        assert R[r1, 0] == 0.0 and R[r1, 2] == 1.0
         check_discounted(dmdp)
 
     def test_ross_special_case(self):
@@ -64,15 +65,17 @@ class TestBuildHvag:
         cert = HtCertificate(ell=ell, K_star=1.0 / alpha, mu=np.full(n, 1.0 / alpha))
         dmdp = build_hvag(mdp, cert)
         assert dmdp.beta == pytest.approx(1.0 - alpha, abs=1e-15)
+        R, dR = mdp.packed.R, dmdp.base.packed.R
         for x, acts in enumerate(mdp.actions):
             for a, act in enumerate(acts):
+                r, dr = mdp.packed.row(x, a), dmdp.base.packed.row(x, a)
                 new = dmdp.base.actions[x][a]
                 assert new.cost == pytest.approx(alpha * act.cost, abs=1e-15)
                 for y in range(n):
-                    expected = act.rate_to(y) - (alpha if y == ell else 0.0)
+                    expected = R[r, y] - (alpha if y == ell else 0.0)
                     expected /= 1.0 - alpha
-                    assert new.rate_to(y) == pytest.approx(expected, abs=1e-12)
-                assert new.rate_to(n) == pytest.approx(0.0, abs=1e-12)
+                    assert dR[dr, y] == pytest.approx(expected, abs=1e-12)
+                assert dR[dr, n] == pytest.approx(0.0, abs=1e-12)
 
     def test_k_star_one_sends_all_mass_to_sink(self, mk):
         # every action jumps straight to ell = 0
@@ -208,8 +211,8 @@ class TestPolicyCorrespondence:
             dmdp = build_hvag(mdp, cert)
             for phi in enumerate_policies(mdp):
                 dv, h = policy_h(mdp, cert, dmdp, phi)
-                pm = policy_matrices(mdp, phi)
-                residual = dv[cert.ell] + h - (pm.c + pm.Q @ h)
+                P, c = mdp.packed.policy(phi)
+                residual = dv[cert.ell] + h - (c + P @ h)
                 assert np.max(np.abs(residual)) <= 1e-9
 
     def test_average_cost_equals_discounted_value_at_ell(self):
@@ -222,11 +225,25 @@ class TestPolicyCorrespondence:
             for phi in enumerate_policies(mdp):
                 dv = policy_evaluate(dmdp, extend(phi))
                 pi = stationary_distribution(mdp, phi)
-                w = float(pi @ policy_matrices(mdp, phi).c)
+                w = float(pi @ mdp.packed.policy(phi)[1])
                 assert abs(w - dv[cert.ell]) <= 1e-8
 
 
 class TestOptimalExtraction:
+    @pytest.mark.parametrize("method", ["howard", "dantzig"])
+    def test_solution_invariant_across_beta_grid(self, method):
+        # the paper's claim: every beta in [(K* - 1)/K*, 1) gives the same
+        # average cost w and relative values h
+        for seed in range(10):
+            mdp = random_ht(seed, n=8)
+            default = solve_average_cost(mdp, 0, method=method)
+            low = (default.certificate.K_star - 1.0) / default.certificate.K_star
+            for i in range(5):
+                beta = low + i * (1.0 - low) / 5.0
+                solution = solve_average_cost(mdp, 0, method=method, beta=beta).solution
+                assert abs(solution.w - default.solution.w) <= 1e-9, (seed, beta)
+                assert np.max(np.abs(solution.h - default.solution.h)) <= 1e-9, (seed, beta)
+
     def test_extracted_solution_passes_acoe_and_matches_oracle(self):
         for seed in range(10):
             mdp = random_ht(seed)

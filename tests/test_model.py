@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mdpreduce import (
     ActionData,
@@ -19,7 +20,6 @@ from mdpreduce import (
     enumerate_policies,
     loads_instance,
     maximize_lifetime,
-    policy_matrices,
     solve_total_cost,
     validate,
 )
@@ -90,19 +90,21 @@ class TestClassifyRates:
 class TestPolicyMatrices:
     def test_single_state_read_off(self, mk):
         mdp = mk([[(1.0, [(0, 0.5)])]])
-        pm = policy_matrices(mdp, StationaryPolicy((0,)))
-        assert pm.Q.tolist() == [[0.5]]
-        assert pm.c.tolist() == [1.0]
+        P, c = mdp.packed.policy(StationaryPolicy((0,)))
+        assert sparse.issparse(P) and P.format == "csr"
+        assert P.toarray().tolist() == [[0.5]]
+        assert c.tolist() == [1.0]
 
     def test_two_state_cycle(self, two_cycle):
-        pm = policy_matrices(two_cycle, StationaryPolicy((0, 0)))
-        assert pm.Q.tolist() == [[0.0, 1.0], [1.0, 0.0]]
-        assert pm.c.tolist() == [0.0, 2.0]
+        P, c = two_cycle.packed.policy(StationaryPolicy((0, 0)))
+        assert sparse.issparse(P) and P.format == "csr"
+        assert P.toarray().tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert c.tolist() == [0.0, 2.0]
 
     def test_out_of_range_action_index(self, mk):
         mdp = mk([[(0.0, []), (1.0, [])]])
         with pytest.raises(ValueError, match="action index 3 out of range"):
-            policy_matrices(mdp, StationaryPolicy((3,)))
+            mdp.packed.policy(StationaryPolicy((3,)))
 
     def test_stochastic_rows_stay_stochastic(self, mk):
         mdp = mk(
@@ -113,7 +115,7 @@ class TestPolicyMatrices:
         )
         assert classify_rates(mdp) is RateClass.STOCHASTIC
         for phi in enumerate_policies(mdp):
-            sums = policy_matrices(mdp, phi).Q.sum(axis=1)
+            sums = mdp.packed.policy(phi)[0].toarray().sum(axis=1)
             assert np.all(np.abs(sums - 1.0) <= 1e-12)
 
 

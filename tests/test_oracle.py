@@ -109,9 +109,7 @@ class TestCesaroCheck:
         max_cost = max(abs(a.cost) for acts in mdp.actions for a in acts)
         constant = 4.0 * cert.K_star**2 * max_cost
         phi = StationaryPolicy((0,) * 4)
-        from mdpreduce import policy_matrices
-
-        w = float(stationary_distribution(mdp, phi) @ policy_matrices(mdp, phi).c)
+        w = float(stationary_distribution(mdp, phi) @ mdp.packed.policy(phi)[1])
         for N in (100, 1000, 10_000):
             err = float(np.max(np.abs(cesaro_check(mdp, phi, N) - w)))
             assert err <= constant / N

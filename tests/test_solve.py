@@ -287,10 +287,11 @@ class TestEmitLp:
         for seed in range(5):
             dmdp = hv_instance(seed)
             _, constraints, _ = parse_lp(emit_lp(dmdp))
+            table = dmdp.base.packed
             for x, (coefs, rhs) in enumerate(constraints):
                 assert rhs == 1.0
-                for a, act in enumerate(dmdp.base.actions[x]):
-                    expected = 1.0 - dmdp.beta * act.rate_to(x)
+                for a in range(dmdp.base.n_actions(x)):
+                    expected = 1.0 - dmdp.beta * table.R[table.row(x, a), x]
                     assert coefs[f"z_{x}_{a}"] == pytest.approx(expected, abs=1e-15)
 
     def test_external_solver_reaches_sum_of_values(self):
@@ -325,12 +326,13 @@ class TestOccupationMeasure:
             [[(3.0, [(1, 1.0)])], [(0.0, [(1, 1.0)])]], beta=0.0
         )
         z = occupation_measure(dmdp, StationaryPolicy((0, 0))).z
-        assert z == {(0, 0): 1.0, (1, 0): 1.0}
+        assert z.tolist() == [1.0, 1.0]
 
     def test_scalar_self_loop(self):
         dmdp = make_discounted([[(1.0, [(0, 1.0)])]], beta=0.5, absorbing=0)
         z = occupation_measure(dmdp, StationaryPolicy((0,))).z
-        assert z[(0, 0)] == pytest.approx(2.0, abs=1e-12)
+        assert z.shape == (1,)
+        assert z[dmdp.base.packed.row(0, 0)] == pytest.approx(2.0, abs=1e-12)
 
     def test_objective_equals_summed_policy_values(self):
         for seed in range(10):
@@ -343,9 +345,13 @@ class TestOccupationMeasure:
     def test_feasibility_residuals(self):
         for seed in range(10):
             dmdp = hv_instance(seed)
-            measure = occupation_measure(dmdp, howard_pi(dmdp).policy)
+            phi = howard_pi(dmdp).policy
+            measure = occupation_measure(dmdp, phi)
             assert np.max(np.abs(measure.constraint_residuals(dmdp))) <= 1e-9
-            assert all(w >= -1e-12 for w in measure.z.values())
+            assert np.all(measure.z >= -1e-12)
+            off_policy = np.ones(len(measure.z), dtype=bool)
+            off_policy[dmdp.base.packed.rows(phi)] = False
+            assert np.all(measure.z[off_policy] == 0.0)
 
     def test_complementary_slackness(self):
         for seed in range(10):
@@ -353,7 +359,8 @@ class TestOccupationMeasure:
             report = howard_pi(dmdp)
             measure = occupation_measure(dmdp, report.policy)
             v = report.values
-            for (x, a), weight in measure.z.items():
+            table = dmdp.base.packed
+            for x, a, weight in zip(table.owner, table.local, measure.z):
                 if weight > 1e-9:
                     act = dmdp.base.actions[x][a]
                     reduced = act.cost - v[x] + dmdp.beta * sum(
