@@ -24,7 +24,7 @@ from .errors import (
     PolicyCapExceeded,
     SingularSystemError,
 )
-from .generate import GeneralRates, GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
+from .generate import GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import (
     DiscountedMdp,
     ReductionOrigin,
@@ -118,7 +118,6 @@ __all__ = [
     "AverageSolution",
     "CertificateError",
     "DiscountedMdp",
-    "GeneralRates",
     "GenSpec",
     "HtCertificate",
     "InstanceFormatError",

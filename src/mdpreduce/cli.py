@@ -21,15 +21,7 @@ from .errors import InstanceFormatError
 from .generate import GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import build_hv, dumps_discounted
 from .hvag import build_hvag
-from .model import (
-    RateClass,
-    RateMdp,
-    ValidationReport,
-    classify_rates,
-    dumps_instance,
-    load_instance,
-    validate,
-)
+from .model import RateMdp, ValidationReport, dumps_instance, load_instance, validate
 from .oracle import brute_force_average, brute_force_total
 from .pipelines import solve_average_cost, solve_total_cost
 from .solve import emit_lp
@@ -130,10 +122,6 @@ def _cmd_solve_total(args) -> int:
 
 def _cmd_solve_average(args) -> int:
     mdp, _ = _load(args.input)
-    if classify_rates(mdp) is not RateClass.STOCHASTIC:
-        raise InstanceFormatError(
-            "average-cost pipeline requires stochastic rates"
-        )
     kwargs = {"tol": args.tol} if args.method == "vi" else {}
     result = solve_average_cost(
         mdp, args.state, method=args.method, beta=args.beta, **kwargs

@@ -20,6 +20,9 @@ import numpy as np
 from .model import ActionData, RateMdp
 from .transience import HtCertificate, check_ht
 
+#: Draws ``gen_ht`` makes without minorization before it gives up.
+HT_ATTEMPTS = 1000
+
 
 @dataclass(frozen=True)
 class Stochastic:
@@ -41,26 +44,12 @@ class Substochastic:
 
 
 @dataclass(frozen=True)
-class GeneralRates:
-    """Rows sum to a value drawn from ``row_sum_range``."""
-
-    row_sum_range: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.row_sum_range
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"row_sum_range must be nonempty, got {self.row_sum_range}")
-
-
-@dataclass(frozen=True)
 class GenSpec:
     """Parameters of a random instance family."""
 
     n_states: int
     max_actions: int
-    rate_class: Stochastic | Substochastic | GeneralRates = field(
-        default_factory=Stochastic
-    )
+    rate_class: Stochastic | Substochastic = field(default_factory=Stochastic)
     cost_range: tuple[float, float] = (-1.0, 1.0)
     density: float = 0.6
     seed: int = 0
@@ -147,7 +136,6 @@ def gen_ht(
     ell: int,
     alpha: float = 0.2,
     minorize: bool = True,
-    max_attempts: int = 1000,
 ) -> RateMdp:
     """Random stochastic instance whose expected hitting time to ``ell`` is
     bounded for every policy.
@@ -164,7 +152,7 @@ def gen_ht(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     rng = np.random.default_rng(spec.seed)
-    for _ in range(max_attempts):
+    for _ in range(HT_ATTEMPTS):
         actions = []
         for _ in range(spec.n_states):
             k = int(rng.integers(1, spec.max_actions + 1))
@@ -181,5 +169,5 @@ def gen_ht(
         if minorize or isinstance(check_ht(mdp, ell), HtCertificate):
             return mdp
     raise RuntimeError(
-        f"no instance certifying state {ell} found in {max_attempts} attempts"
+        f"no instance certifying state {ell} found in {HT_ATTEMPTS} attempts"
     )

@@ -44,7 +44,7 @@ CLAMP_TOL = 1e-12
 ROW_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReductionOrigin:
     """Back-mapping metadata of a reduction: the certificate ``mu`` and, for
     the average-cost reduction, the distinguished state ``ell``."""
@@ -66,12 +66,17 @@ class ReductionOrigin:
 @dataclass(frozen=True)
 class DiscountedMdp:
     """A stochastic-transition MDP with a cost-free absorbing state and a
-    scalar discount factor, plus metadata for mapping solutions back."""
+    scalar discount factor, plus metadata for mapping solutions back.
+    Construction (``dataclasses.replace`` too) runs :func:`check_discounted`,
+    so every instance holds its invariants."""
 
     base: RateMdp
     absorbing_state: int
     beta: float
     origin: ReductionOrigin | None = None
+
+    def __post_init__(self):
+        check_discounted(self)
 
     @property
     def n_states(self) -> int:
@@ -155,10 +160,10 @@ def rescale(
     At beta = 0 every row goes straight to the sink.  Probabilities that
     are exactly zero are dropped; those in [-1e-12, 0) are round-off,
     clamped to zero with their row renormalized; anything more negative
-    raises CertificateError.  The result passes :func:`check_discounted`.
+    raises CertificateError.
     """
     names = mdp.row_names() + (None,)
-    dmdp = DiscountedMdp(
+    return DiscountedMdp(
         base=from_packed(
             _rescaled_table(mdp, mu, beta, ell), names, _extend_labels(mdp.state_labels)
         ),
@@ -166,8 +171,6 @@ def rescale(
         beta=beta,
         origin=ReductionOrigin(mu=mu, ell=ell),
     )
-    check_discounted(dmdp)
-    return dmdp
 
 
 def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
@@ -341,16 +344,12 @@ def discounted_from_obj(obj) -> DiscountedMdp:
         ell = None if kind == "hv" else _as_index(spec["ell"], n - 1, index, "discounted.origin.ell")
         origin = ReductionOrigin(np.array(mu, dtype=float), ell)
     absorbing = _as_index(header["absorbing_state"], n, index, "discounted.absorbing_state")
-    dmdp = DiscountedMdp(base, absorbing, _as_number(header["beta"], "discounted.beta"), origin)
-    check_discounted(dmdp)
-    return dmdp
+    return DiscountedMdp(base, absorbing, _as_number(header["beta"], "discounted.beta"), origin)
 
 
 def dumps_discounted(dmdp: DiscountedMdp) -> str:
     """The discounted instance file: the bytes of ``json.dumps`` with
-    ``indent=2``, written from the base instance's packed table.  Raises
-    ValueError when :func:`check_discounted` rejects the instance."""
-    check_discounted(dmdp)
+    ``indent=2``, written from the base instance's packed table."""
     origin = dmdp.origin
     described = "null"
     if origin is not None:

@@ -31,7 +31,7 @@ from .model import RateClass, RateMdp, classify_rates
 from .transience import HtCertificate, check_ht
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AverageSolution:
     """Optimal average cost ``w`` plus the relative-value function ``h``,
     normalized so h(ell) = 0 (the ACOE only pins h up to a constant)."""
@@ -47,7 +47,7 @@ class AverageSolution:
         object.__setattr__(self, "w", float(self.w))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcoeReport:
     """Residuals of the ACOE and the per-state optimal-action sets."""
 

@@ -40,7 +40,7 @@ from .errors import InstanceFormatError, PolicyCapExceeded
 #: textual decimals; anything tighter would misclassify round-tripped files.
 ROW_SUM_TOL = 1e-12
 
-#: Default bound on enumerable policy spaces.
+#: Bound on enumerable policy spaces.
 POLICY_CAP = 10**6
 
 
@@ -418,14 +418,14 @@ def count_policies(mdp: RateMdp) -> int:
     return math.prod(mdp.n_actions(x) for x in range(mdp.n_states))
 
 
-def enumerate_policies(mdp: RateMdp, cap: int = POLICY_CAP):
+def enumerate_policies(mdp: RateMdp):
     """Iterate every stationary policy once, in lexicographic order of
     action indices.  Raises PolicyCapExceeded eagerly when the policy space
-    is larger than ``cap``.
+    is larger than :data:`POLICY_CAP`.
     """
     total = count_policies(mdp)
-    if total > cap:
-        raise PolicyCapExceeded(f"{total} policies exceed cap {cap}")
+    if total > POLICY_CAP:
+        raise PolicyCapExceeded(f"{total} policies exceed cap {POLICY_CAP}")
 
     def _iter():
         for combo in itertools.product(

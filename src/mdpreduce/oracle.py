@@ -3,7 +3,8 @@
 Everything here enumerates the full policy space and evaluates each policy
 by direct linear algebra, independently of the reduction pipeline; these
 are the ground truths the transforms are tested against.  Caps keep the
-enumeration cheap (n <= 6 states and <= 3 actions per state by default).
+enumeration cheap: at most 6 states and 3 actions per state, so at most
+3^6 = 729 policies.
 """
 
 from __future__ import annotations
@@ -14,14 +15,7 @@ import numpy as np
 
 from . import _linalg
 from .errors import NonTransientPolicyError, SingularSystemError
-from .model import (
-    POLICY_CAP,
-    RateClass,
-    RateMdp,
-    StationaryPolicy,
-    classify_rates,
-    enumerate_policies,
-)
+from .model import RateClass, RateMdp, StationaryPolicy, classify_rates, enumerate_policies
 
 #: A policy counts as optimal when it attains the optimal value everywhere
 #: within this tolerance.
@@ -31,7 +25,7 @@ MAX_STATES = 6
 MAX_ACTIONS = 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleResult:
     """Exhaustive-enumeration result: the optimal value, every optimal
     policy, and the value vector of every policy."""
@@ -41,24 +35,19 @@ class OracleResult:
     per_policy_values: dict[StationaryPolicy, np.ndarray]
 
 
-def _check_caps(mdp: RateMdp, max_states: int, max_actions: int) -> None:
-    if mdp.n_states > max_states:
+def _check_caps(mdp: RateMdp) -> None:
+    if mdp.n_states > MAX_STATES:
         raise ValueError(
-            f"{mdp.n_states} states exceed the oracle cap of {max_states}"
+            f"{mdp.n_states} states exceed the oracle cap of {MAX_STATES}"
         )
     worst = max(mdp.n_actions(x) for x in range(mdp.n_states))
-    if worst > max_actions:
+    if worst > MAX_ACTIONS:
         raise ValueError(
-            f"{worst} actions at one state exceed the oracle cap of {max_actions}"
+            f"{worst} actions at one state exceed the oracle cap of {MAX_ACTIONS}"
         )
 
 
-def brute_force_total(
-    mdp: RateMdp,
-    max_states: int = MAX_STATES,
-    max_actions: int = MAX_ACTIONS,
-    policy_cap: int = POLICY_CAP,
-) -> OracleResult:
+def brute_force_total(mdp: RateMdp) -> OracleResult:
     """Total-cost optimum by policy enumeration: v_phi = (I - Q_phi)^-1 c_phi
     for every policy, minimized pointwise.
 
@@ -68,9 +57,9 @@ def brute_force_total(
     transience to be certified beforehand; hitting a policy that fails
     the test is therefore a hard error, not a witness.
     """
-    _check_caps(mdp, max_states, max_actions)
+    _check_caps(mdp)
     per_policy: dict[StationaryPolicy, np.ndarray] = {}
-    for phi in enumerate_policies(mdp, cap=policy_cap):
+    for phi in enumerate_policies(mdp):
         P, c = mdp.packed.policy(phi)
         solved = _linalg.solve_policy(P, np.column_stack((np.ones_like(c), c)))
         if solved is None or not np.all(solved[:, 0] > 0.0):
@@ -120,13 +109,7 @@ def average_cost_of_policy(mdp: RateMdp, phi: StationaryPolicy) -> float:
     return float(pi @ mdp.packed.policy(phi)[1])
 
 
-def brute_force_average(
-    mdp: RateMdp,
-    ell: int,
-    max_states: int = MAX_STATES,
-    max_actions: int = MAX_ACTIONS,
-    policy_cap: int = POLICY_CAP,
-) -> OracleResult:
+def brute_force_average(mdp: RateMdp, ell: int) -> OracleResult:
     """Average-cost optimum by policy enumeration.
 
     Requires stochastic rates and a bounded-hitting-time certificate at
@@ -135,14 +118,14 @@ def brute_force_average(
     Values are reported as constant vectors for uniformity with the
     total-cost oracle.
     """
-    _check_caps(mdp, max_states, max_actions)
+    _check_caps(mdp)
     if classify_rates(mdp) is not RateClass.STOCHASTIC:
         raise ValueError("the average-cost oracle requires stochastic rates")
     if not 0 <= ell < mdp.n_states:
         raise ValueError(f"state index {ell} out of range")
     n = mdp.n_states
     per_policy: dict[StationaryPolicy, np.ndarray] = {}
-    for phi in enumerate_policies(mdp, cap=policy_cap):
+    for phi in enumerate_policies(mdp):
         w = average_cost_of_policy(mdp, phi)
         per_policy[phi] = np.full(n, w)
     best = min(v[0] for v in per_policy.values())

@@ -21,7 +21,7 @@ from .hvag import (
     verify_acoe,
 )
 from .model import RateClass, RateMdp, StationaryPolicy, classify_rates
-from .solve import SolveReport, solve
+from .solve import ACTION_TOL, SolveReport, solve
 from .transience import (
     HtCertificate,
     NonTransienceWitness,
@@ -30,10 +30,8 @@ from .transience import (
     maximize_lifetime,
 )
 
-ACTION_SET_TOL = 1e-8
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TotalCostSolution:
     """Everything the total-cost pipeline produces."""
 
@@ -60,7 +58,6 @@ def solve_total_cost(
     mdp: RateMdp,
     method: str = "howard",
     beta: float | None = None,
-    action_tol: float = ACTION_SET_TOL,
     **solver_kwargs,
 ):
     """Check transience, reduce to a discounted instance, solve it, and lift
@@ -78,7 +75,7 @@ def solve_total_cost(
         report=report,
         values=values,
         policy=StationaryPolicy(tuple(report.policy)[: mdp.n_states]),
-        optimal_actions=tuple(total_optimal_actions(mdp, values, action_tol)),
+        optimal_actions=tuple(total_optimal_actions(mdp, values, ACTION_TOL)),
     )
 
 
@@ -87,7 +84,6 @@ def solve_average_cost(
     ell: int,
     method: str = "howard",
     beta: float | None = None,
-    acoe_tol: float | None = None,
     **solver_kwargs,
 ):
     """Check the bounded-hitting-time condition at ``ell``, reduce, solve,
@@ -96,9 +92,9 @@ def solve_average_cost(
     policy avoids ``ell``.
 
     Requires stochastic rates (the average-cost correspondence needs
-    probabilities).  The ACOE verification tolerance defaults to 1e-9 for
-    the exact policy-iteration solvers and loosens with the value-iteration
-    tolerance otherwise.
+    probabilities).  The ACOE verification tolerance is 1e-9 for the exact
+    policy-iteration solvers and loosens with the value-iteration tolerance
+    otherwise.
     """
     if classify_rates(mdp) is not RateClass.STOCHASTIC:
         raise ValueError("the average-cost pipeline requires stochastic rates")
@@ -108,11 +104,9 @@ def solve_average_cost(
     dmdp = build_hvag(mdp, cert, beta=beta)
     report = solve(dmdp, method=method, **solver_kwargs)
     solution = extract_average_solution(report.values, cert)
-    if acoe_tol is None:
-        if method == "vi":
-            acoe_tol = max(1e-9, 100.0 * solver_kwargs.get("tol", 1e-10))
-        else:
-            acoe_tol = 1e-9
+    acoe_tol = 1e-9
+    if method == "vi":
+        acoe_tol = max(acoe_tol, 100.0 * solver_kwargs.get("tol", 1e-10))
     acoe = verify_acoe(mdp, solution, tol=acoe_tol)
     return AverageCostSolution(
         certificate=cert,

@@ -22,18 +22,18 @@ from scipy import sparse
 
 from . import _linalg
 from .errors import NotConvergedWithinBudget
-from .hv import DiscountedMdp, check_discounted
+from .hv import DiscountedMdp
 from .model import PackedMdp, StationaryPolicy
 
 #: Strict-improvement threshold for policy iteration; avoids cycling under
 #: floating-point ties.
 IMPROVE_TOL = 1e-12
 
-#: Default membership tolerance for reported optimal-action sets.
+#: Membership tolerance for reported optimal-action sets.
 ACTION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Result of one solver run on one discounted instance."""
 
@@ -51,7 +51,7 @@ class SolveReport:
         object.__setattr__(self, "values", values)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OccupationMeasure:
     """LP variables z (m,): the discounted expected visits of each packed row."""
 
@@ -102,10 +102,10 @@ def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
     return table.action_sets(gap, tol, "optimality equation")
 
 
-def _finish(dmdp, table, v, phi_choice, iterations, method, action_tol, started):
+def _finish(dmdp, table, v, phi_choice, iterations, method, started):
     tv, _ = _bellman(table, dmdp.beta, v)
     residual = float(np.max(np.abs(tv - v)))
-    sets = tuple(optimal_actions(dmdp, v, action_tol))
+    sets = tuple(optimal_actions(dmdp, v, ACTION_TOL))
     if not all(a in sets[x] for x, a in enumerate(phi_choice)):
         raise RuntimeError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
@@ -124,7 +124,6 @@ def value_iteration(
     tol: float = 1e-10,
     max_iter: int = 1_000_000,
     v0: np.ndarray | None = None,
-    action_tol: float = ACTION_TOL,
 ) -> SolveReport:
     """Iterate the optimality operator until the sup-norm increment drops
     below tol (1 - beta) / (2 beta), which guarantees the returned values
@@ -134,7 +133,6 @@ def value_iteration(
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    check_discounted(dmdp)
     table = dmdp.base.packed
     v = np.zeros(dmdp.n_states) if v0 is None else np.asarray(v0, dtype=float)
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
@@ -149,19 +147,14 @@ def value_iteration(
         v, previous_delta = tv, delta
         if delta <= threshold:
             return _finish(
-                dmdp, table, v, greedy.tolist(), iteration, "value-iteration",
-                action_tol, started,
+                dmdp, table, v, greedy.tolist(), iteration, "value-iteration", started
             )
     raise NotConvergedWithinBudget(
         f"value iteration still moving by {previous_delta:.3g} after {max_iter} iterations"
     )
 
 
-def howard_pi(
-    dmdp: DiscountedMdp,
-    phi0: StationaryPolicy | None = None,
-    action_tol: float = ACTION_TOL,
-) -> SolveReport:
+def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> SolveReport:
     """Howard policy iteration: evaluate, then switch every state to its
     greedy action (ties to the incumbent, then the lowest index); stop when
     no state improves by more than 1e-12.  Values are nonincreasing
@@ -169,7 +162,6 @@ def howard_pi(
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    check_discounted(dmdp)
     table = dmdp.base.packed
     phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
     v = policy_evaluate(dmdp, phi)
@@ -180,10 +172,7 @@ def howard_pi(
         low, best = table.state_argmin(q)
         switch = low < q[table.rows(phi)] - IMPROVE_TOL
         if not switch.any():
-            return _finish(
-                dmdp, table, v, tuple(phi), iterations, "howard-pi",
-                action_tol, started,
-            )
+            return _finish(dmdp, table, v, tuple(phi), iterations, "howard-pi", started)
         phi = StationaryPolicy(tuple(np.where(switch, best, phi.choice).tolist()))
         v_next = policy_evaluate(dmdp, phi)
         if not np.all(v_next <= v + 1e-9):
@@ -191,34 +180,25 @@ def howard_pi(
         v = v_next
 
 
-def dantzig_pi(
-    dmdp: DiscountedMdp,
-    phi0: StationaryPolicy | None = None,
-    action_tol: float = ACTION_TOL,
-    max_switches: int | None = None,
-) -> SolveReport:
+def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> SolveReport:
     """Simple policy iteration with Dantzig's rule: per round, switch the
     single state-action pair with the most negative reduced cost
     c(x,a) + beta sum p(y|x,a) v(y) - v(x) (ties: lowest state, then lowest
     action); stop when all reduced costs are >= -1e-12.  The iteration
-    count is the number of switches.
+    count is the number of switches, at most 10,000 + 100 m^2.
     """
     started = time.perf_counter()
     beta = dmdp.beta
-    check_discounted(dmdp)
     table = dmdp.base.packed
     phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
     v = policy_evaluate(dmdp, phi)
     switches = 0
-    cap = max_switches if max_switches is not None else 10_000 + 100 * len(table.c) ** 2
+    cap = 10_000 + 100 * len(table.c) ** 2
     while True:
         reduced = table.c + beta * (table.R @ v) - v[table.owner]
         row = int(np.argmin(reduced))
         if not reduced[row] < -IMPROVE_TOL:
-            return _finish(
-                dmdp, table, v, tuple(phi), switches, "dantzig-pi",
-                action_tol, started,
-            )
+            return _finish(dmdp, table, v, tuple(phi), switches, "dantzig-pi", started)
         switches += 1
         if switches > cap:
             raise NotConvergedWithinBudget(
@@ -303,10 +283,8 @@ def emit_lp(dmdp: DiscountedMdp) -> str:
 
     Variables are named z_<state>_<action>; ordering is state-major,
     action-minor; coefficients carry 17 significant digits.  Output is
-    deterministic byte-for-byte.  Raises ValueError when
-    :func:`~mdpreduce.hv.check_discounted` rejects the instance.
+    deterministic byte-for-byte.
     """
-    check_discounted(dmdp)
     table = dmdp.base.packed
     beta = dmdp.beta
     n, m = len(table.first) - 1, len(table.c)

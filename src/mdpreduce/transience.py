@@ -59,7 +59,7 @@ class NonTransienceWitness:
     evidence: SingularSystem | NegativeInverseEntry
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransienceCertificate:
     """Bounding vector mu (the optimal expected lifetime) and K = max mu.
 
@@ -78,7 +78,7 @@ class TransienceCertificate:
         object.__setattr__(self, "K", float(self.K))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HtCertificate:
     """Certificate that every policy reaches ``ell`` fast: mu bounds the
     lifetime of the instance truncated at ``ell`` and K* = max mu.
@@ -98,7 +98,7 @@ class HtCertificate:
         object.__setattr__(self, "K_star", float(self.K_star))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MuIterationResult:
     mu_approx: np.ndarray
     iterations: int

@@ -170,9 +170,9 @@ class TestSolveAverage:
         assert grab(out, "h") == "0 0"
 
     def test_substochastic_rejected(self, capsys, geometric_file):
-        code, _, err = run(capsys, "solve-average", geometric_file, "--state", "0")
-        assert code == 1
-        assert "requires stochastic rates" in err
+        code, out, err = run(capsys, "solve-average", geometric_file, "--state", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: the average-cost pipeline requires stochastic rates\n"
 
     def test_ht_failure(self, capsys, tmp_path):
         mdp = build_mdp(

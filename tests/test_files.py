@@ -110,8 +110,11 @@ def instances(draw):
 
 
 @st.composite
-def any_discounted(draw):
-    """A discounted instance, valid or not."""
+def any_discounted_fields(draw):
+    """The four fields of a discounted instance, valid or not."""
+    if draw(st.booleans()):
+        dmdp = draw(discounted())
+        return dmdp.base, dmdp.absorbing_state, dmdp.beta, dmdp.origin
     base = draw(instances())
     n = base.n_states
     origin = draw(
@@ -125,7 +128,16 @@ def any_discounted(draw):
             )
         )
     )
-    return DiscountedMdp(base, draw(st.integers(0, n - 1)), draw(st.floats()), origin)
+    return base, draw(st.integers(0, n - 1)), draw(st.floats()), origin
+
+
+def unchecked(*fields):
+    """A DiscountedMdp made without running its check, to hand to
+    check_discounted directly."""
+    dmdp = object.__new__(DiscountedMdp)
+    for field, value in zip(dataclasses.fields(DiscountedMdp), fields):
+        object.__setattr__(dmdp, field.name, value)
+    return dmdp
 
 
 @st.composite
@@ -177,25 +189,26 @@ class TestWritersMatchJsonDumps:
         assert dumps_discounted(dmdp) == reference_text(reference_discounted_obj(dmdp))
 
     @settings(max_examples=150, deadline=None)
-    @given(any_discounted())
-    def test_discounted_writers_refuse_what_check_discounted_rejects(self, dmdp):
+    @given(any_discounted_fields())
+    def test_discounted_writers_refuse_what_check_discounted_rejects(self, fields):
+        # an instance the check rejects cannot be made, so no writer sees one
         try:
-            check_discounted(dmdp)
+            dmdp = DiscountedMdp(*fields)
         except ValueError as exc:
-            for writer in (dumps_discounted, emit_lp):
-                with pytest.raises(ValueError) as info:
-                    writer(dmdp)
-                assert str(info.value) == str(exc)
+            with pytest.raises(ValueError) as info:
+                check_discounted(unchecked(*fields))
+            assert str(info.value) == str(exc)
         else:
             assert dumps_discounted(dmdp) == reference_text(reference_discounted_obj(dmdp))
+            emit_lp(dmdp)
 
     @pytest.mark.parametrize("writer", [dumps_discounted, emit_lp])
     def test_discounted_writer_refuses_a_nan_discount_factor(self, writer):
         spec = GenSpec(n_states=4, max_actions=2, rate_class=Substochastic((0.2, 0.4)), seed=1)
         mdp = gen_transient(spec)
-        bad = dataclasses.replace(build_hv(mdp, maximize_lifetime(mdp)), beta=float("nan"))
+        dmdp = build_hv(mdp, maximize_lifetime(mdp))
         with pytest.raises(ValueError, match=r"^discount factor nan outside \[0, 1\)$"):
-            writer(bad)
+            writer(dataclasses.replace(dmdp, beta=float("nan")))
 
     def test_reductions(self):
         spec = GenSpec(n_states=9, max_actions=3, rate_class=Substochastic((0.2, 0.4)), seed=5)
@@ -410,6 +423,5 @@ class TestDiscountedHeader:
 
     def test_check_discounted_rejects_an_origin_state_at_the_sink(self):
         dmdp = loads_discounted(discounted_doc())
-        bad = dataclasses.replace(dmdp, origin=ReductionOrigin(dmdp.origin.mu, ell=4))
         with pytest.raises(ValueError, match=r"^origin state 4 out of range$"):
-            check_discounted(bad)
+            dataclasses.replace(dmdp, origin=ReductionOrigin(dmdp.origin.mu, ell=4))

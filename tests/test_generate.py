@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mdpreduce import (
-    GeneralRates,
     GenSpec,
     HtCertificate,
     RateClass,
@@ -113,8 +112,6 @@ class TestGenSpec:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match="kill_prob_range"):
             Substochastic(kill_prob_range=(0.0, 0.5))
-        with pytest.raises(ValueError, match="row_sum_range"):
-            GeneralRates(row_sum_range=(2.0, 1.0))
         with pytest.raises(ValueError, match="density"):
             GenSpec(n_states=2, max_actions=1, density=0.0)
         with pytest.raises(ValueError, match="cost_range"):

@@ -1,9 +1,14 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
 
 from mdpreduce import (
     CertificateError,
+    DiscountedMdp,
     GenSpec,
+    ReductionOrigin,
     StationaryPolicy,
     Substochastic,
     brute_force_total,
@@ -17,6 +22,7 @@ from mdpreduce import (
     lift_total_value,
     loads_discounted,
     maximize_lifetime,
+    occupation_measure,
     optimal_actions,
     policy_evaluate,
     similarity_transform,
@@ -26,6 +32,7 @@ from mdpreduce import (
 )
 from mdpreduce._linalg import solve as lu_solve
 from mdpreduce.model import RateClass
+from conftest import build_mdp
 
 
 def random_transient(seed, n=4, max_actions=3, kill=(0.25, 0.6)):
@@ -42,6 +49,57 @@ def random_transient(seed, n=4, max_actions=3, kill=(0.25, 0.6)):
 def extend(phi, n_extra=1):
     """Extend a policy of the original instance to the augmented one."""
     return StationaryPolicy(tuple(phi) + (0,) * n_extra)
+
+
+BROKEN_INVARIANTS = {
+    "beta above 1": ({"beta": 1.5}, "discount factor 1.5 outside [0, 1)"),
+    "beta nan": ({"beta": float("nan")}, "discount factor nan outside [0, 1)"),
+    "beta below 0": ({"beta": -0.5}, "discount factor -0.5 outside [0, 1)"),
+    "sink out of range": ({"absorbing_state": 2}, "absorbing state 2 out of range"),
+    "mu too long": (
+        {"origin": ReductionOrigin([2.0, 2.0])}, "origin mu has 2 entries for 1 states"
+    ),
+    "mu below 1": ({"origin": ReductionOrigin([0.5])}, "origin mu must be finite and at least 1"),
+    "ell at the sink": ({"origin": ReductionOrigin([2.0], ell=1)}, "origin state 1 out of range"),
+    "row sums to 2": (
+        {"base": build_mdp([[(1.0, [(0, 2.0)])], [(0.0, [(1, 1.0)])]])},
+        "row (0, a0) sums to 2.0, not 1",
+    ),
+    "sink with a cost": (
+        {"base": build_mdp([[(1.0, [(1, 1.0)])], [(1.0, [(1, 1.0)])]])},
+        "absorbing state must have exactly one cost-free action",
+    ),
+}
+
+
+class TestValidByConstruction:
+    @pytest.mark.parametrize("broken, message", BROKEN_INVARIANTS.values(), ids=BROKEN_INVARIANTS)
+    def test_constructor_and_replace_raise_the_check_message(self, geometric, broken, message):
+        dmdp = build_hv(geometric, maximize_lifetime(geometric))
+        exact = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=exact):
+            DiscountedMdp(**{**vars(dmdp), **broken})
+        with pytest.raises(ValueError, match=exact):
+            dataclasses.replace(dmdp, **broken)
+
+
+class TestResultTypes:
+    def test_compare_and_hash_without_raising(self):
+        mdp = random_transient(0)
+        dmdp = build_hv(mdp, maximize_lifetime(mdp))
+        text = dumps_discounted(dmdp)
+        phi = StationaryPolicy((0,) * dmdp.n_states)
+        makers = (
+            lambda: maximize_lifetime(mdp),
+            lambda: howard_pi(dmdp),
+            lambda: loads_discounted(text),
+            lambda: occupation_measure(dmdp, phi),
+        )
+        for make in makers:
+            x = make()
+            assert isinstance(x == make(), bool)
+            assert x == x
+            hash(x)
 
 
 class TestBuildHv:

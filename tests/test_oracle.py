@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpreduce import (
+    ActionData,
     GenSpec,
     NonTransientPolicyError,
+    RateMdp,
     StationaryPolicy,
     Stochastic,
+    Substochastic,
     brute_force_average,
     brute_force_total,
     cesaro_check,
     check_ht,
     gen_ht,
+    gen_transient,
+    solve_average_cost,
+    solve_total_cost,
     stationary_distribution,
 )
 
@@ -113,3 +121,56 @@ class TestCesaroCheck:
         for N in (100, 1000, 10_000):
             err = float(np.max(np.abs(cesaro_check(mdp, phi, N) - w)))
             assert err <= constant / N
+
+
+@st.composite
+def oracle_cases(draw, rate_class):
+    """A GenSpec the oracle can enumerate, a permutation of its states and
+    a state ``ell``."""
+    n = draw(st.integers(1, 6))
+    spec = GenSpec(
+        n_states=n,
+        max_actions=draw(st.integers(1, 3)),
+        rate_class=rate_class,
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return spec, np.array(draw(st.permutations(range(n)))), draw(st.integers(0, n - 1))
+
+
+def relabel(mdp, perm):
+    """The instance with each state x renamed perm[x]."""
+    actions = [None] * mdp.n_states
+    for x, acts in enumerate(mdp.actions):
+        actions[perm[x]] = tuple(
+            ActionData(act.cost, tuple((int(perm[y]), r) for y, r in act.transitions))
+            for act in acts
+        )
+    return RateMdp(mdp.n_states, tuple(actions))
+
+
+class TestSolversMatchTheOracle:
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_cases(Substochastic((0.25, 0.6))))
+    def test_total_cost_values_and_relabelling(self, case):
+        spec, perm, _ = case
+        mdp = gen_transient(spec)
+        truth = brute_force_total(mdp).optimal_value
+        twin = relabel(mdp, perm)
+        for method in ("vi", "howard", "dantzig"):
+            v = solve_total_cost(mdp, method=method).values
+            assert np.max(np.abs(v - truth)) <= 1e-9
+            assert np.max(np.abs(solve_total_cost(twin, method=method).values[perm] - v)) <= 1e-9
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_cases(Stochastic()))
+    def test_average_cost_w_and_relabelling(self, case):
+        spec, perm, ell = case
+        mdp = gen_ht(spec, ell)
+        w = brute_force_average(mdp, ell).optimal_value[0]
+        twin = relabel(mdp, perm)
+        for method in ("vi", "howard", "dantzig"):
+            sol = solve_average_cost(mdp, ell, method=method).solution
+            assert abs(sol.w - w) <= 1e-9
+            moved = solve_average_cost(twin, int(perm[ell]), method=method).solution
+            assert abs(moved.w - sol.w) <= 1e-9
+            assert np.max(np.abs(moved.h[perm] - sol.h)) <= 1e-9

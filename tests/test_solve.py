@@ -187,10 +187,9 @@ class TestRejectsAnInvalidInstance:
     @pytest.mark.parametrize("solver", [value_iteration, howard_pi, dantzig_pi])
     def test_row_summing_to_two(self, solver):
         # Howard used to return v = (-1.25, 0) here, and VI under python -O
-        # ran to its iteration budget
-        dmdp = make_discounted([[(1.0, [(0, 2.0)])], [(0.0, [(1, 1.0)])]], beta=0.9)
+        # ran to its iteration budget; now the instance cannot be made
         with pytest.raises(ValueError, match=r"row \(0, a0\) sums to 2.0, not 1"):
-            solver(dmdp)
+            solver(make_discounted([[(1.0, [(0, 2.0)])], [(0.0, [(1, 1.0)])]], beta=0.9))
 
 
 class TestOptimalActions:
@@ -329,7 +328,7 @@ class TestOccupationMeasure:
         assert z.tolist() == [1.0, 1.0]
 
     def test_scalar_self_loop(self):
-        dmdp = make_discounted([[(1.0, [(0, 1.0)])]], beta=0.5, absorbing=0)
+        dmdp = make_discounted([[(0.0, [(0, 1.0)])]], beta=0.5, absorbing=0)
         z = occupation_measure(dmdp, StationaryPolicy((0,))).z
         assert z.shape == (1,)
         assert z[dmdp.base.packed.row(0, 0)] == pytest.approx(2.0, abs=1e-12)
