@@ -129,7 +129,8 @@ def value_iteration(
     below tol (1 - beta) / (2 beta), which guarantees the returned values
     are within ``tol`` of the fixed point.  At beta = 0 one application is
     exact.  Successive increments must shrink by a factor of beta
-    (contraction), which is checked each iteration.
+    (contraction), which is checked each iteration, up to round-off of
+    1e-15 max(1, |v|).
     """
     started = time.perf_counter()
     beta = dmdp.beta
@@ -140,8 +141,10 @@ def value_iteration(
     for iteration in range(1, max_iter + 1):
         tv, greedy = _bellman(table, beta, v)
         delta = float(np.max(np.abs(tv - v)))
+        # the second test, for |v| > 1, runs only when the first fails
         if previous_delta is not None and not (
             delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15
+            or delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15 * float(np.max(np.abs(tv)))
         ):
             raise RuntimeError("optimality operator failed to contract")
         v, previous_delta = tv, delta
@@ -238,9 +241,9 @@ def occupation_measure(dmdp: DiscountedMdp, phi: StationaryPolicy) -> Occupation
     table = dmdp.base.packed
     P, _ = table.policy(phi)
     z = np.zeros(len(table.c))
-    z[table.rows(phi)] = _linalg.solve_policy(
-        P.T, np.ones(dmdp.n_states), dmdp.beta, context="occupation measure"
-    )
+    # dense LU at every size: BiCGSTAB breaks down on this system (see _linalg)
+    a = np.eye(dmdp.n_states) - dmdp.beta * P.T.toarray()
+    z[table.rows(phi)] = _linalg.solve(a, np.ones(dmdp.n_states), "occupation measure")
     return OccupationMeasure(z=z)
 
 

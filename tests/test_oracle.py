@@ -174,3 +174,65 @@ class TestSolversMatchTheOracle:
             moved = solve_average_cost(twin, int(perm[ell]), method=method).solution
             assert abs(moved.w - sol.w) <= 1e-9
             assert np.max(np.abs(moved.h[perm] - sol.h)) <= 1e-9
+
+
+def rebuilt(mdp, scale=1.0, extra=None):
+    """The instance with every cost multiplied by ``scale`` and, if
+    ``extra = (x, a, d)``, a copy of action a appended at state x with its
+    cost raised by d."""
+    actions = []
+    for x, acts in enumerate(mdp.actions):
+        row = [ActionData(scale * act.cost, act.transitions) for act in acts]
+        if extra is not None and extra[0] == x:
+            _, a, d = extra
+            row.append(ActionData(row[a].cost + d, row[a].transitions))
+        actions.append(tuple(row))
+    return RateMdp(mdp.n_states, tuple(actions))
+
+
+def dominated_copy(draw, mdp):
+    """Draw (x, a, d): copy action a of state x at a cost d > 0 higher."""
+    x = draw(st.integers(0, mdp.n_states - 1))
+    a = draw(st.integers(0, len(mdp.actions[x]) - 1))
+    return x, a, draw(st.floats(0.01, 1.0))
+
+
+SCALES = st.floats(0.01, 100.0)
+
+
+class TestSolverInvariances:
+    """Each solver's answer scales with the costs, and ignores an inserted
+    dominated action (n <= 6, A <= 3)."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_cases(Substochastic((0.25, 0.6))), SCALES, st.data())
+    def test_total_cost(self, case, s, data):
+        mdp = gen_transient(case[0])
+        scaled = rebuilt(mdp, scale=s)
+        padded = rebuilt(mdp, extra=dominated_copy(data.draw, mdp))
+        for method in ("vi", "howard", "dantzig"):
+            sol = solve_total_cost(mdp, method=method)
+            other = solve_total_cost(scaled, method=method)
+            assert np.max(np.abs(other.values - s * sol.values)) <= 1e-9 * max(1.0, s)
+            assert other.optimal_actions == sol.optimal_actions
+            other = solve_total_cost(padded, method=method)
+            assert np.max(np.abs(other.values - sol.values)) <= 1e-9
+            assert other.optimal_actions == sol.optimal_actions
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_cases(Stochastic()), SCALES, st.data())
+    def test_average_cost(self, case, s, data):
+        spec, _, ell = case
+        mdp = gen_ht(spec, ell)
+        scaled = rebuilt(mdp, scale=s)
+        padded = rebuilt(mdp, extra=dominated_copy(data.draw, mdp))
+        for method in ("vi", "howard", "dantzig"):
+            sol = solve_average_cost(mdp, ell, method=method)
+            other = solve_average_cost(scaled, ell, method=method)
+            assert abs(other.solution.w - s * sol.solution.w) <= 1e-9 * max(1.0, s)
+            assert np.max(np.abs(other.solution.h - s * sol.solution.h)) <= 1e-9 * max(1.0, s)
+            assert other.acoe.optimal_actions == sol.acoe.optimal_actions
+            other = solve_average_cost(padded, ell, method=method)
+            assert abs(other.solution.w - sol.solution.w) <= 1e-9
+            assert np.max(np.abs(other.solution.h - sol.solution.h)) <= 1e-9
+            assert other.acoe.optimal_actions == sol.acoe.optimal_actions

@@ -1,24 +1,36 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy.optimize import linprog
 
 from mdpreduce import (
     DiscountedMdp,
     GenSpec,
     StationaryPolicy,
+    Stochastic,
     Substochastic,
+    _linalg,
     build_hv,
+    build_hvag,
+    check_ht,
     dantzig_pi,
     emit_lp,
     format_report,
+    gen_ht,
     gen_transient,
     howard_pi,
     maximize_lifetime,
     occupation_measure,
     optimal_actions,
     policy_evaluate,
+    solve_average_cost,
     value_iteration,
 )
 from mdpreduce.solve import solve
@@ -381,3 +393,168 @@ class TestFormatReport:
             "optimal_actions:",
         ):
             assert key in text
+
+
+# -- Sparse policy evaluation above _linalg.DENSE_MAX_N ----------------------
+
+SPARSE_N = 400
+
+
+def sparse_spec(rate_class, **kwargs):
+    """About 10 targets per row, SPARSE_N states: with the sink, above the
+    dense cap."""
+    return GenSpec(n_states=SPARSE_N, max_actions=3, density=10 / SPARSE_N,
+                   rate_class=rate_class, seed=3, **kwargs)
+
+
+def reduced(mdp):
+    return build_hv(mdp, maximize_lifetime(mdp))
+
+
+@pytest.fixture(scope="module")
+def sparse_total():
+    return reduced(gen_transient(sparse_spec(Substochastic((0.1, 0.3)))))
+
+
+@pytest.fixture(scope="module")
+def sparse_average():
+    return gen_ht(sparse_spec(Stochastic()), 0, alpha=0.1)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return counted_calls(monkeypatch)
+
+
+def counted_calls(monkeypatch):
+    """Counts the BiCGSTAB runs and the dense LU solves of solve_policy."""
+    counts = {"bicgstab": 0, "lu": 0}
+    bicgstab, try_solve = scipy.sparse.linalg.bicgstab, _linalg.try_solve
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", counted("bicgstab", bicgstab))
+    monkeypatch.setattr(_linalg, "try_solve", counted("lu", try_solve))
+    return counts
+
+
+def on_lu(monkeypatch, f, *args, **kwargs):
+    """``f(*args)`` with every policy system on dense LU."""
+    with monkeypatch.context() as m:
+        m.setattr(_linalg, "DENSE_MAX_N", 10**9)
+        return f(*args, **kwargs)
+
+
+class TestSparsePath:
+    def test_policy_evaluate_matches_lu(self, monkeypatch, calls, sparse_total, sparse_average):
+        average = build_hvag(sparse_average, check_ht(sparse_average, 0))
+        calls.update(bicgstab=0, lu=0)
+        for dmdp in (sparse_total, average):
+            assert dmdp.n_states > _linalg.DENSE_MAX_N
+            phi = StationaryPolicy((0,) * dmdp.n_states)
+            v = policy_evaluate(dmdp, phi)
+            assert calls == {"bicgstab": 1, "lu": 0}
+            reference = on_lu(monkeypatch, policy_evaluate, dmdp, phi)
+            assert calls == {"bicgstab": 1, "lu": 1}
+            assert np.max(np.abs(v - reference)) <= 1e-12
+            calls.update(bicgstab=0, lu=0)
+
+    def test_howard_and_value_iteration_agree_with_lu(self, monkeypatch, calls, sparse_total):
+        dmdp = sparse_total
+        hp = howard_pi(dmdp)
+        assert calls["bicgstab"] == hp.iterations and calls["lu"] == 0
+        reference = on_lu(monkeypatch, howard_pi, dmdp)
+        vi = value_iteration(dmdp, tol=1e-11)
+        assert hp.policy == reference.policy == vi.policy
+        assert hp.optimal_actions == reference.optimal_actions == vi.optimal_actions
+        assert np.max(np.abs(hp.values - reference.values)) <= 1e-12
+
+    def test_average_cost_matches_lu(self, monkeypatch, calls, sparse_average):
+        mdp = sparse_average
+        sol = solve_average_cost(mdp, 0).solution
+        assert calls["bicgstab"] > 0
+        # the lifetime systems of check_ht stay on LU
+        lifetime_solves = calls["lu"]
+        reference = on_lu(monkeypatch, solve_average_cost, mdp, 0).solution
+        assert calls["lu"] > 2 * lifetime_solves
+        assert abs(sol.w - reference.w) <= 1e-12
+        assert np.max(np.abs(sol.h - reference.h)) <= 1e-12
+
+    def test_occupation_measure_is_feasible(self, calls, sparse_total):
+        # its transposed system stays on LU: the right-hand side 1 is a
+        # left eigenvector of I - beta P^T, where BiCGSTAB breaks down
+        dmdp = sparse_total
+        phi = StationaryPolicy((0,) * dmdp.n_states)
+        measure = occupation_measure(dmdp, phi)
+        assert calls == {"bicgstab": 0, "lu": 1}
+        assert np.max(np.abs(measure.constraint_residuals(dmdp))) <= 1e-10
+        assert measure.objective(dmdp) == pytest.approx(
+            float(np.sum(policy_evaluate(dmdp, phi))), rel=1e-12
+        )
+
+    def test_small_systems_stay_on_lu(self, calls):
+        dmdp = hv_instance(0, n=_linalg.DENSE_MAX_N - 1, max_actions=2)
+        assert dmdp.n_states == _linalg.DENSE_MAX_N
+        howard_pi(dmdp)
+        assert calls["bicgstab"] == 0 and calls["lu"] > 0
+
+
+def broken_bicgstab(kind):
+    """A bicgstab that returns a breakdown, a stall, NaN, a wrong answer or
+    one whose residual overflows."""
+    bicgstab = scipy.sparse.linalg.bicgstab
+
+    def run(a, b, **kwargs):
+        x, _ = bicgstab(a, b, **kwargs)
+        return {
+            "breakdown": (x, -10),
+            "stall": (x, 5),
+            "nan": (np.full_like(x, np.nan), 0),
+            "wrong": (x + 1e-6, 0),
+            "overflow": (np.full_like(x, 1e308), 0),
+        }[kind]
+    return run
+
+
+class TestKrylovFallback:
+    """Every failure of the sparse path returns the dense LU bits, with no
+    warning.  Run in this process and again under python -O."""
+
+    def test_missed_bound_at_large_K_returns_the_lu_bits(self, monkeypatch):
+        # K = 1e5: the residual's round-off alone, over 1 - beta = 1e-5,
+        # exceeds the 1e-12 bound
+        dmdp = reduced(gen_transient(sparse_spec(Substochastic((1e-5, 1e-5)), cost_range=(1.0, 2.0))))
+        calls = counted_calls(monkeypatch)
+        assert 1.0 / (1.0 - dmdp.beta) >= 1e5
+        phi = StationaryPolicy((0,) * dmdp.n_states)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = policy_evaluate(dmdp, phi)
+        assert calls == {"bicgstab": 1, "lu": 1}
+        assert np.array_equal(v, on_lu(monkeypatch, policy_evaluate, dmdp, phi))
+
+    @pytest.mark.parametrize("kind", ["breakdown", "stall", "nan", "wrong", "overflow"])
+    def test_a_failed_run_returns_the_lu_bits(self, monkeypatch, calls, kind, sparse_total):
+        dmdp = sparse_total
+        phi = StationaryPolicy((0,) * dmdp.n_states)
+        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", broken_bicgstab(kind))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = policy_evaluate(dmdp, phi)
+        assert calls["lu"] == 1
+        assert np.array_equal(v, on_lu(monkeypatch, policy_evaluate, dmdp, phi))
+
+
+def test_krylov_fallback_under_python_O():
+    src = str(Path(_linalg.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::TestKrylovFallback"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1].startswith("6 passed")
