@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mdpreduce import (
     TransienceCertificate,
     check_ht,
     classify_rates,
+    dumps_instance,
     gen_ht,
     gen_transient,
     maximize_lifetime,
@@ -131,3 +134,43 @@ class TestPickTargets:
             want = [y for y in range(n) if slow.random() < density]
             assert _pick_targets(fast, n, density) == want
         assert fast.random() == slow.random()
+
+
+# The instance files the generators write, pinned by SHA-256 of
+# ``dumps_instance``: dense and sparse transient draws, and stochastic draws
+# with and without minorization (seed 0 of the last is rejected once).
+GENERATED = {
+    "transient-dense": lambda seed: gen_transient(
+        GenSpec(30, 3, Substochastic((0.2, 0.4)), density=0.6, seed=seed)
+    ),
+    "transient-sparse": lambda seed: gen_transient(
+        GenSpec(200, 2, Substochastic((0.01, 0.05)), density=10 / 200, seed=seed)
+    ),
+    "ht-minorized": lambda seed: gen_ht(
+        GenSpec(30, 3, Stochastic(), density=0.6, seed=seed), 0, alpha=0.2
+    ),
+    "ht-rejection": lambda seed: gen_ht(
+        GenSpec(8, 2, Stochastic(), density=0.6, seed=seed), 0, minorize=False
+    ),
+}
+
+GENERATED_DIGESTS = {
+    ("transient-dense", 0): "c4a4d619a5beffec7e02785f138b14743ffd37de867802d7d0b30359f1ef788a",
+    ("transient-dense", 1): "cd25684acd602647bafb609fe50f7e10fc60897b44cf4edab97fcaf0902df3ce",
+    ("transient-dense", 2): "5d65b9fada65100b7c1b91906f0fbeeaa4dc80d8ca2fc7fd290ccb5aee616ff5",
+    ("transient-sparse", 0): "af3b822354215432899846a11abad4c4e1aa6040c4ce7f7f64da175df35ecb5f",
+    ("transient-sparse", 1): "7b623df0859cace574c1e003a9be13cf38c48f4d50a1d1d81556577426a9ced8",
+    ("transient-sparse", 2): "0370a3c505d50d577443b45b9e570ff94bdb3f873adfd26d4f7a73cb2cc7a6fd",
+    ("ht-minorized", 0): "93f616888e4f5971e87ce5cd4c71faffcef75289810b473888c389ca062c74d9",
+    ("ht-minorized", 1): "91a337e63f148334b19d972aed97c5472595212ef31b0cf9b53d48cfd00e150b",
+    ("ht-minorized", 2): "54639de400149a28cefc4eb63fb7ac4033dc3aefd0ca8e4eeef1d6f9a3cfc0fe",
+    ("ht-rejection", 0): "186da215183d508ba0b4c9835914ef4d63fd39803d1a043d279a7e824a5a9b58",
+    ("ht-rejection", 1): "52d5e1f5f8223536073aaf784c9046b1ea7a9ba24d2c97c4aa32dd196b82f419",
+    ("ht-rejection", 2): "876f91a2a8d026ddc92ca7b7beebaaabd8614c74dd11e075a96a9019b456dd86",
+}
+
+
+@pytest.mark.parametrize("family, seed", list(GENERATED_DIGESTS))
+def test_generated_files_are_byte_identical(family, seed):
+    text = dumps_instance(GENERATED[family](seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == GENERATED_DIGESTS[(family, seed)]
