@@ -21,7 +21,7 @@ from .errors import InstanceFormatError
 from .generate import GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import build_hv, dumps_discounted
 from .hvag import build_hvag
-from .model import RateMdp, ValidationReport, dumps_instance, load_instance, validate
+from .model import dumps_instance, load_instance, validate
 from .oracle import brute_force_average, brute_force_total
 from .pipelines import solve_average_cost, solve_total_cost
 from .solve import emit_lp
@@ -61,16 +61,9 @@ def _print_witness(witness: NonTransienceWitness) -> None:
     print(f"witness_evidence: {evidence}")
 
 
-def _load(path: str) -> tuple[RateMdp, ValidationReport]:
-    mdp = load_instance(path)
-    report = validate(mdp)
-    if not report.ok:
-        raise InstanceFormatError(report.error)
-    return mdp, report
-
-
 def _cmd_check(args) -> int:
-    mdp, report = _load(args.input)
+    mdp = load_instance(args.input)
+    report = validate(mdp)
     print(f"max_row_sum: {_fmt(report.max_row_sum)}")
     print(f"rate_class: {report.rate_class.value}")
     if args.state is None:
@@ -96,7 +89,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve_total(args) -> int:
-    mdp, _ = _load(args.input)
+    mdp = load_instance(args.input)
     kwargs = {"tol": args.tol} if args.method == "vi" else {}
     result = solve_total_cost(mdp, method=args.method, beta=args.beta, **kwargs)
     if isinstance(result, NonTransienceWitness):
@@ -121,7 +114,7 @@ def _cmd_solve_total(args) -> int:
 
 
 def _cmd_solve_average(args) -> int:
-    mdp, _ = _load(args.input)
+    mdp = load_instance(args.input)
     kwargs = {"tol": args.tol} if args.method == "vi" else {}
     result = solve_average_cost(
         mdp, args.state, method=args.method, beta=args.beta, **kwargs
@@ -157,7 +150,7 @@ def _write_out(text: str, path: str | None) -> None:
 
 def _cmd_transform(args) -> int:
     """``transform`` and ``emit-lp``: build the reduction, write it with ``args.writer``."""
-    mdp, _ = _load(args.input)
+    mdp = load_instance(args.input)
     if args.kind == "hv":
         if args.state is not None:
             raise InstanceFormatError("--state only applies to --kind hvag")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import ActionData, RateMdp
+from .model import RateMdp, _checked_table, from_packed
 from .transience import HtCertificate, check_ht
 
 #: Draws ``gen_ht`` makes without minorization before it gives up.
@@ -69,6 +69,21 @@ def _pick_targets(rng, n: int, density: float) -> list[int]:
     return np.flatnonzero(rng.random(n) < density).tolist()
 
 
+def _table_backed(n: int, states) -> RateMdp:
+    """The instance whose state ``x`` has the actions ``states[x]``, each a
+    ``(cost, targets, rates)`` triple, built straight into the table."""
+    counts, lengths, costs, targets, rates = [], [], [], [], []
+    for acts in states:
+        counts.append(len(acts))
+        for cost, ys, ws in acts:
+            costs.append(cost)
+            lengths.append(len(ys))
+            targets += ys
+            rates += ws
+    names = [None] * len(costs)
+    return from_packed(_checked_table(n, counts, lengths, costs, names, targets, rates), names)
+
+
 def gen_transient(spec: GenSpec) -> RateMdp:
     """Random substochastic instance with every row sum at most 1 - delta,
     delta being the low end of the kill range.  This forces transience with
@@ -77,7 +92,7 @@ def gen_transient(spec: GenSpec) -> RateMdp:
         raise ValueError("gen_transient requires the Substochastic rate class")
     rng = np.random.default_rng(spec.seed)
     kill_lo, kill_hi = spec.rate_class.kill_prob_range
-    actions = []
+    states = []
     for _ in range(spec.n_states):
         k = int(rng.integers(1, spec.max_actions + 1))
         entry = []
@@ -85,38 +100,38 @@ def gen_transient(spec: GenSpec) -> RateMdp:
             cost = float(rng.uniform(*spec.cost_range))
             targets = _pick_targets(rng, spec.n_states, spec.density)
             kill = float(rng.uniform(kill_lo, kill_hi))
-            transitions = ()
+            rates = []
             if targets:
                 weights = rng.random(len(targets))
                 weights *= (1.0 - kill) / weights.sum()
-                transitions = tuple(
-                    (y, float(w)) for y, w in zip(targets, weights)
-                )
-            entry.append(ActionData(cost=cost, transitions=transitions))
-        actions.append(tuple(entry))
-    return RateMdp(n_states=spec.n_states, actions=tuple(actions))
+                rates = weights.tolist()
+            entry.append((cost, targets, rates))
+        states.append(entry)
+    return _table_backed(spec.n_states, states)
 
 
-def _minorized_action(rng, spec: GenSpec, ell: int, alpha: float) -> ActionData:
+def _minorized_action(rng, spec: GenSpec, ell: int, alpha: float):
     n = spec.n_states
     cost = float(rng.uniform(*spec.cost_range))
     others = [y for y in _pick_targets(rng, n, spec.density) if y != ell]
-    transitions = []
+    targets, rates = [], []
     mass = 0.0
     if others:
         weights = rng.random(len(others))
         weights *= (1.0 - alpha) / weights.sum()
-        for y, w in zip(others, weights):
+        for y, w in zip(others, weights.tolist()):
             if w != 0.0:
-                transitions.append((y, float(w)))
-                mass += float(w)
+                targets.append(y)
+                rates.append(w)
+                mass += w
     # remainder construction keeps the row sum at exactly 1 and the
     # probability into ell at >= alpha up to round-off
-    transitions.append((ell, 1.0 - mass))
-    return ActionData(cost=cost, transitions=tuple(transitions))
+    targets.append(ell)
+    rates.append(1.0 - mass)
+    return cost, targets, rates
 
 
-def _plain_stochastic_action(rng, spec: GenSpec) -> ActionData:
+def _plain_stochastic_action(rng, spec: GenSpec):
     n = spec.n_states
     cost = float(rng.uniform(*spec.cost_range))
     targets = _pick_targets(rng, n, spec.density)
@@ -124,11 +139,9 @@ def _plain_stochastic_action(rng, spec: GenSpec) -> ActionData:
         targets = [int(rng.integers(0, n))]
     weights = rng.random(len(targets))
     weights /= weights.sum()
-    head = [(y, float(w)) for y, w in zip(targets[:-1], weights[:-1])]
-    tail_mass = 1.0 - sum(w for _, w in head)
-    return ActionData(
-        cost=cost, transitions=tuple(head + [(targets[-1], tail_mass)])
-    )
+    rates = weights[:-1].tolist()
+    rates.append(1.0 - sum(rates))
+    return cost, targets, rates
 
 
 def gen_ht(
@@ -153,19 +166,15 @@ def gen_ht(
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     rng = np.random.default_rng(spec.seed)
     for _ in range(HT_ATTEMPTS):
-        actions = []
+        states = []
         for _ in range(spec.n_states):
             k = int(rng.integers(1, spec.max_actions + 1))
             if minorize:
-                entry = tuple(
-                    _minorized_action(rng, spec, ell, alpha) for _ in range(k)
-                )
+                entry = [_minorized_action(rng, spec, ell, alpha) for _ in range(k)]
             else:
-                entry = tuple(
-                    _plain_stochastic_action(rng, spec) for _ in range(k)
-                )
-            actions.append(entry)
-        mdp = RateMdp(n_states=spec.n_states, actions=tuple(actions))
+                entry = [_plain_stochastic_action(rng, spec) for _ in range(k)]
+            states.append(entry)
+        mdp = _table_backed(spec.n_states, states)
         if minorize or isinstance(check_ht(mdp, ell), HtCertificate):
             return mdp
     raise RuntimeError(

@@ -26,20 +26,15 @@ from .model import (
     RateMdp,
     _as_index,
     _as_number,
+    _checked_table,
     _dumps_table,
-    _first_violation,
     _json_block,
     _require_keys,
     _row_sums_in_order,
     from_packed,
     instance_from_obj,
 )
-from .transience import CERT_SLACK, TransienceCertificate, certificate_residual
-
-#: Transformed probabilities in [-1e-12, 0) are treated as round-off,
-#: clamped to zero, and the row renormalized.  Anything more negative is a
-#: hard error: the certificate cannot be valid.
-CLAMP_TOL = 1e-12
+from .transience import CERT_SLACK, CLAMP_TOL, TransienceCertificate, certificate_residual
 
 ROW_TOL = 1e-12
 
@@ -135,7 +130,7 @@ def admissible_beta(
     if np.any(mu < 1.0 - CERT_SLACK) or np.any(mu > K + CERT_SLACK):
         raise CertificateError("certificate mu outside [1, K]")
     violation = certificate_residual(mdp, mu, exclude=ell)
-    if violation > CERT_SLACK:
+    if violation > max(CERT_SLACK, CLAMP_TOL * K):
         raise CertificateError(
             f"certificate inequality violated by {violation:.3g}"
         )
@@ -301,16 +296,13 @@ def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
         raise ValueError(f"b has {len(b)} entries for {mdp.n_states} states")
     if np.any(b <= 0.0):
         raise ValueError("similarity vector must be entrywise positive")
-    table = mdp.packed
-    R = table.R
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+    table, names = mdp.packed, mdp.row_names()
+    R, lengths = table.R, np.diff(table.R.indptr)
+    with np.errstate(over="ignore", invalid="ignore"):  # named by _checked_table
         c = b[table.owner] * table.c
-        rates = b[np.repeat(table.owner, np.diff(R.indptr))] * R.data / b[R.indices]
-    scaled = sparse.csr_matrix((rates, R.indices, R.indptr), shape=R.shape)
-    out = from_packed(PackedMdp(c, scaled, table.first), mdp.row_names(), mdp.state_labels)
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rates))):
-        raise ValueError(_first_violation(out))
-    return out
+        rates = b[np.repeat(table.owner, lengths)] * R.data / b[R.indices]
+    scaled = _checked_table(mdp.n_states, np.diff(table.first), lengths, c, names, R.indices, rates)
+    return from_packed(scaled, names, mdp.state_labels)
 
 
 # ---------------------------------------------------------------------------

@@ -7,15 +7,17 @@ state-action rows in state-major order, their costs ``c`` and their rates
 as an m x n sparse matrix ``R``.  A Bellman-type step is then ``c + R @ v``
 followed by a minimum or maximum over each state's rows.
 
-An instance is either built from tuples of :class:`ActionData` (by users
-and the generators) or table-backed: the file reader, the reductions,
+An instance is either built from tuples of :class:`ActionData` (by users)
+or table-backed: the file reader, the generators, the reductions,
 :func:`mdpreduce.hv.similarity_transform` and
 :func:`mdpreduce.transience.truncate_at_state` return instances that hold
 only the table and the row names (:func:`from_packed`), and the file
 writers print the table itself.  Either way the table is built and
-validated once and cached on the instance, and the ``actions`` tuples of a
-table-backed instance are built on first read and cached too, so both
-kinds compare, hash, print, pickle and copy alike.
+validated once, when the instance is made, so an instance that breaks an
+invariant never exists: making one raises ValueError naming its first
+violation.  The ``actions`` tuples of a table-backed instance are built on
+first read and cached, so both kinds compare, hash, print, pickle and copy
+alike.
 
 All types are immutable after construction and safe to share across
 threads; every operation here is a pure function.
@@ -57,9 +59,9 @@ class ActionData:
     """One action at one state: its one-step cost and sparse outgoing rates.
 
     ``transitions`` is a tuple of ``(target_state, rate)`` pairs.  Targets
-    must be distinct within an action; duplicates are rejected by
-    :func:`validate` rather than summed, since they usually signal input
-    mistakes.
+    must be distinct within an action; duplicates are rejected when the
+    :class:`RateMdp` is made rather than summed, since they usually signal
+    input mistakes.
     """
 
     cost: float
@@ -81,8 +83,11 @@ class ActionData:
 @dataclass(frozen=True)
 class RateMdp:
     """Finite MDP with nonnegative transition rates and bounded real costs.
-    A table-backed instance (:func:`from_packed`) builds ``actions`` on
-    first read."""
+
+    Construction (``dataclasses.replace`` too) packs and validates the
+    instance and raises ValueError with the first violated invariant, so
+    every instance holds its packed table and row names.  A table-backed
+    instance (:func:`from_packed`) builds ``actions`` on first read."""
 
     n_states: int
     actions: tuple[tuple[ActionData, ...], ...]
@@ -96,48 +101,39 @@ class RateMdp:
             object.__setattr__(
                 self, "state_labels", tuple(str(s) for s in self.state_labels)
             )
+        rows = [act for acts in self.actions for act in acts]
+        object.__setattr__(self, "_packed", _pack(self, rows))
+        object.__setattr__(self, "_names", tuple(act.name for act in rows))
 
     def __getattr__(self, name):
         # Reached only for attributes missing from the instance: a
         # table-backed instance builds its ``actions`` here, once.
-        if name != "actions" or "_names" not in self.__dict__:
+        if name != "actions":
             raise AttributeError(name)
         actions = _actions_from_table(self._packed, self._names)
         object.__setattr__(self, "actions", actions)
         return actions
 
     def n_actions(self, x: int) -> int:
-        if "_names" in self.__dict__:
-            return int(self._packed.first[x + 1] - self._packed.first[x])
-        return len(self.actions[x])
+        return int(self._packed.first[x + 1] - self._packed.first[x])
 
     def row_names(self) -> tuple[str | None, ...]:
         """The name (or None) of every state-action row, state-major."""
-        names = self.__dict__.get("_names")
-        if names is None:
-            names = tuple(act.name for acts in self.actions for act in acts)
-        return names
+        return self._names
 
     def action_name(self, x: int, a: int) -> str:
-        names = self.__dict__.get("_names")
-        name = self.actions[x][a].name if names is None else names[self._packed.row(x, a)]
+        name = self._names[self._packed.row(x, a)]
         return name if name is not None else f"a{a}"
 
     @property
     def n_state_actions(self) -> int:
         """Total number of state-action pairs (the LP's ``m``)."""
-        return len(self.row_names())
+        return len(self._names)
 
     @property
     def packed(self) -> PackedMdp:
-        """The packed table of the instance, built and validated on first
-        use.  Raises ValueError with :func:`validate`'s message when the
-        instance breaks an invariant."""
-        table = self.__dict__.get("_packed")
-        if table is None:
-            table = _pack(self)
-            object.__setattr__(self, "_packed", table)
-        return table
+        """The packed table of the instance."""
+        return self._packed
 
 
 @dataclass(frozen=True)
@@ -255,56 +251,74 @@ def _row_sums_in_order(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()
 
 
-def _pack(mdp: RateMdp) -> PackedMdp:
+def _pack(mdp: RateMdp, rows) -> PackedMdp:
     n, labels = mdp.n_states, mdp.state_labels
-    rows = [act for acts in mdp.actions for act in acts]
-    lengths = [len(act.transitions) for act in rows]
-
-    def entries(field: int, dtype):
-        pairs = itertools.chain.from_iterable(act.transitions for act in rows)
-        return np.fromiter(map(itemgetter(field), pairs), dtype=dtype, count=sum(lengths))
-
-    table = None
-    if (
-        isinstance(n, int)
-        and 1 <= n == len(mdp.actions)
-        and (labels is None or len(labels) == len(set(labels)) == n)
-    ):
-        counts = [len(acts) for acts in mdp.actions]
-        costs = [act.cost for act in rows]
-        with contextlib.suppress(OverflowError):  # a target beyond int64 is out of range
-            table = _checked_table(n, counts, lengths, costs, entries(0, np.int64), entries(1, float))
-    if table is None:
-        raise ValueError(_first_violation(mdp))
-    return table
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n_states must be a positive integer, got {n!r}")
+    if len(mdp.actions) != n:
+        raise ValueError(f"actions lists {len(mdp.actions)} states, expected {n}")
+    if labels is not None and len(labels) != n:
+        raise ValueError(f"{len(labels)} state labels for {n} states")
+    if labels is not None and len(set(labels)) != n:
+        raise ValueError("state labels are not unique")
+    pairs = [pair for act in rows for pair in act.transitions]
+    return _checked_table(
+        n,
+        [len(acts) for acts in mdp.actions],
+        [len(act.transitions) for act in rows],
+        [act.cost for act in rows],
+        [act.name for act in rows],
+        list(map(itemgetter(0), pairs)),
+        list(map(itemgetter(1), pairs)),
+    )
 
 
-def _checked_table(n: int, counts, lengths, costs, targets, rates) -> PackedMdp | None:
+def _checked_table(n: int, counts, lengths, costs, names, targets, rates) -> PackedMdp:
     """The packed table of the rows ``costs``, ``counts[x]`` of them at state
-    ``x``, row ``r`` with the next ``lengths[r]`` entries of ``targets`` and
-    ``rates``; None when the rows break an invariant of :func:`validate`."""
-    counts, lengths = np.asarray(counts, dtype=np.intp), np.asarray(lengths, dtype=np.intp)
-    c = np.asarray(costs, dtype=float)
-    targets, rates = np.asarray(targets, dtype=np.int64), np.asarray(rates, dtype=float)
-    if not (
-        np.all(counts > 0)
-        and np.all(np.isfinite(c))
-        and np.all((targets >= 0) & (targets < n))
-        and np.all(np.isfinite(rates))
-        and np.all(rates >= 0.0)
-    ):
-        return None
-    keys = np.repeat(np.arange(len(c)) * n, lengths)
-    keys += targets
-    keys.sort()
-    if np.any(keys[1:] == keys[:-1]):
-        return None
+    ``x``, row ``r`` named ``names[r]`` (or None) with the next
+    ``lengths[r]`` entries of ``targets`` and ``rates``.  Raises ValueError
+    naming the first violation, in state-major order, when a state has no
+    rows, a cost or a rate is not finite, a rate is negative, or a target is
+    out of range or repeated within its row."""
+    valid = False
+    with contextlib.suppress(OverflowError):  # a target beyond int64 is out of range
+        c, data = np.asarray(costs, dtype=float), np.asarray(rates, dtype=float)
+        indices = np.asarray(targets, dtype=np.int64)
+        keys = np.repeat(np.arange(len(c)) * n, lengths) + indices
+        keys.sort()
+        valid = (
+            np.all(np.asarray(counts) > 0)
+            and np.all(np.isfinite(c))
+            and np.all((indices >= 0) & (indices < n))
+            and np.all(np.isfinite(data))
+            and np.all(data >= 0.0)
+            and not np.any(keys[1:] == keys[:-1])
+        )
+    if not valid:
+        entries, rows = zip(targets, rates), zip(costs, names, lengths)
+        for x, k in enumerate(counts):
+            if k == 0:
+                raise ValueError(f"state {x} has no actions")
+            for a, (cost, name, length) in enumerate(itertools.islice(rows, k)):
+                at = f"{x}, {name if name is not None else f'a{a}'}"
+                if not math.isfinite(cost):
+                    raise ValueError(f"non-finite cost at ({at})")
+                seen = set()
+                for y, rate in itertools.islice(entries, length):
+                    if not 0 <= y < n:
+                        raise ValueError(f"transition target {y} out of range at ({at})")
+                    if not math.isfinite(rate):
+                        raise ValueError(f"non-finite rate at ({at}, {y})")
+                    if rate < 0.0:
+                        raise ValueError(f"negative rate at ({at}, {y})")
+                    if y in seen:
+                        raise ValueError(f"duplicate transition target at ({at}, {y})")
+                    seen.add(y)
     first = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
     indptr = np.zeros(len(c) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    R = sparse.csr_matrix((rates, targets, indptr), shape=(len(c), n))
-    return PackedMdp(c, R, first)
+    return PackedMdp(c, sparse.csr_matrix((data, indices, indptr), shape=(len(c), n)), first)
 
 
 def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
@@ -333,47 +347,14 @@ def _actions_from_table(table: PackedMdp, names) -> tuple[tuple[ActionData, ...]
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of :func:`validate`: summary numbers plus the first violation."""
+    """Outcome of :func:`validate`: the summary numbers of a valid instance.
+    ``ok`` is always True and ``error`` always None, since an instance that
+    breaks an invariant cannot be made."""
 
     ok: bool
     max_row_sum: float
     rate_class: RateClass
     error: str | None = None
-
-
-def _first_violation(mdp: RateMdp) -> str | None:
-    if not isinstance(mdp.n_states, int) or mdp.n_states < 1:
-        return f"n_states must be a positive integer, got {mdp.n_states!r}"
-    if len(mdp.actions) != mdp.n_states:
-        return (
-            f"actions lists {len(mdp.actions)} states, expected {mdp.n_states}"
-        )
-    if mdp.state_labels is not None:
-        if len(mdp.state_labels) != mdp.n_states:
-            return (
-                f"{len(mdp.state_labels)} state labels for {mdp.n_states} states"
-            )
-        if len(set(mdp.state_labels)) != mdp.n_states:
-            return "state labels are not unique"
-    for x, acts in enumerate(mdp.actions):
-        if len(acts) == 0:
-            return f"state {x} has no actions"
-        for a, act in enumerate(acts):
-            name = mdp.action_name(x, a)
-            if not math.isfinite(act.cost):
-                return f"non-finite cost at ({x}, {name})"
-            seen: set[int] = set()
-            for y, rate in act.transitions:
-                if not 0 <= y < mdp.n_states:
-                    return f"transition target {y} out of range at ({x}, {name})"
-                if not math.isfinite(rate):
-                    return f"non-finite rate at ({x}, {name}, {y})"
-                if rate < 0.0:
-                    return f"negative rate at ({x}, {name}, {y})"
-                if y in seen:
-                    return f"duplicate transition target at ({x}, {name}, {y})"
-                seen.add(y)
-    return None
 
 
 def _classify(sums) -> RateClass:
@@ -386,25 +367,12 @@ def _classify(sums) -> RateClass:
 
 
 def validate(mdp: RateMdp) -> ValidationReport:
-    """Check every structural invariant and report the first violation.
-
-    The maximal row sum (finite by construction on finite instances, but
-    still computed and reported) and the stochasticity class are included
-    whether or not the instance is valid.  A valid instance is reported
-    from its packed table, without building its ``actions`` tuples.
-    """
-    try:
-        sums = mdp.packed.row_sums()
-    except ValueError:
-        sums = [act.row_sum() for acts in mdp.actions for act in acts]
-        error = _first_violation(mdp)
-    else:
-        error = None
+    """The maximal row sum and the stochasticity class of an instance, read
+    from its packed table without building its ``actions`` tuples.  The
+    invariants themselves are checked when the instance is made."""
+    sums = mdp.packed.row_sums()
     return ValidationReport(
-        ok=error is None,
-        max_row_sum=float(max(sums, default=0.0)),
-        rate_class=_classify(sums),
-        error=error,
+        ok=True, max_row_sum=float(sums.max()), rate_class=_classify(sums)
     )
 
 
@@ -490,9 +458,9 @@ _TRANSITION_KEYS = frozenset(("to", "rate"))
 def instance_from_obj(obj) -> RateMdp:
     """Build a RateMdp from a decoded JSON object, rejecting unknown fields.
 
-    A valid instance comes back table-backed (:func:`from_packed`).  One
-    that parses but breaks an invariant comes back built from tuples, so
-    that :func:`validate` can word its first violation.
+    The instance comes back table-backed (:func:`from_packed`).  Raises
+    InstanceFormatError when the object breaks the grammar, and ValueError
+    naming the first violation when it parses but breaks an invariant.
     """
     if not isinstance(obj, dict):
         raise InstanceFormatError("top level must be an object")
@@ -555,16 +523,8 @@ def instance_from_obj(obj) -> RateMdp:
                 targets.append(_as_index(tr["to"], n, index, f"{path_t}.to"))
                 rates.append(_as_number(tr["rate"], f"{path_t}.rate"))
 
-    table = _checked_table(n, counts, lengths, costs, targets, rates)
-    if table is not None:
-        return from_packed(table, names, labels)
-    pairs = iter(zip(targets, rates))
-    rows = iter([
-        ActionData(cost, tuple(itertools.islice(pairs, k)), name)
-        for cost, name, k in zip(costs, names, lengths)
-    ])
-    actions = [tuple(itertools.islice(rows, k)) for k in counts]
-    return RateMdp(n_states=n, actions=actions, state_labels=labels)
+    table = _checked_table(n, counts, lengths, costs, names, targets, rates)
+    return from_packed(table, names, labels)
 
 
 #: ``json.dumps``'s own string encoder (``ensure_ascii`` is its default).
@@ -587,8 +547,7 @@ def _json_block(items, indent: str, brackets: str = "[]") -> str:
 def _dumps_table(mdp: RateMdp, extra=()) -> str:
     """``json.dumps(obj, indent=2) + "\\n"`` of the instance's file object,
     with the encoded members ``extra`` after ``"actions"``, written straight
-    from the packed table.  Raises ValueError with :func:`validate`'s
-    message when the instance is invalid."""
+    from the packed table."""
     table = mdp.packed
     R = table.R
     edges = [_TRANSITION % pair for pair in zip(R.indices.tolist(), R.data.tolist())]
@@ -612,7 +571,7 @@ def loads_instance(text: str) -> RateMdp:
 
 def dumps_instance(mdp: RateMdp) -> str:
     """The instance file of ``mdp``: the bytes of ``json.dumps`` with
-    ``indent=2``.  Raises ValueError when the instance is invalid."""
+    ``indent=2``."""
     return _dumps_table(mdp)
 
 

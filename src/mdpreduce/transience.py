@@ -26,8 +26,16 @@ from . import _linalg
 from .errors import NotConvergedWithinBudget
 from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed
 
-#: Slack allowed when re-checking certificate inequalities.
+#: Slack allowed when re-checking certificate inequalities.  Above
+#: K = CERT_SLACK / CLAMP_TOL the slack is CLAMP_TOL * K instead, since the
+#: round-off in 1 + R mu - mu grows with K.
 CERT_SLACK = 1e-9
+
+#: Transformed probabilities in [-1e-12, 0) are treated as round-off,
+#: clamped to zero, and the row renormalized.  Anything more negative is a
+#: hard error: the certificate cannot be valid.  A certificate violation of
+#: CLAMP_TOL * K is the most the transform can absorb this way.
+CLAMP_TOL = 1e-12
 
 #: Strict-improvement threshold for lifetime policy iteration, relative
 #: to the incumbent's lifetime.
@@ -63,8 +71,8 @@ class NonTransienceWitness:
 class TransienceCertificate:
     """Bounding vector mu (the optimal expected lifetime) and K = max mu.
 
-    Invariants: mu(x) >= 1 + sum_y q(y|x,a) mu(y) within 1e-9 for every
-    (x, a), and 1 <= mu(x) <= K.
+    Invariants: mu(x) >= 1 + sum_y q(y|x,a) mu(y) within
+    max(1e-9, 1e-12 K) for every (x, a), and 1 <= mu(x) <= K.
     """
 
     mu: np.ndarray
@@ -83,8 +91,8 @@ class HtCertificate:
     """Certificate that every policy reaches ``ell`` fast: mu bounds the
     lifetime of the instance truncated at ``ell`` and K* = max mu.
 
-    Invariants: mu(x) >= 1 + sum_{y != ell} q(y|x,a) mu(y) within 1e-9,
-    and 1 <= mu(x) <= K*.
+    Invariants: mu(x) >= 1 + sum_{y != ell} q(y|x,a) mu(y) within
+    max(1e-9, 1e-12 K*), and 1 <= mu(x) <= K*.
     """
 
     ell: int
@@ -232,7 +240,7 @@ def vi_certificate(
     result = mu_value_iteration(mdp, tol=tol, max_iter=max_iter)
     mu = result.mu_approx
     violation = certificate_residual(mdp, mu)
-    if violation > CERT_SLACK:
+    if violation > max(CERT_SLACK, CLAMP_TOL * mu.max()):
         raise NotConvergedWithinBudget(
             f"value-iteration mu violates the certificate inequality by "
             f"{violation:.3g}; tighten tol"

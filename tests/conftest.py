@@ -3,13 +3,9 @@ import pytest
 from mdpreduce import ActionData, RateMdp
 
 
-def build_mdp(actions, labels=None):
-    """Compact instance builder.
-
-    ``actions`` is a list over states; each entry is a list of
-    ``(cost, [(target, rate), ...])`` pairs.
-    """
-    return RateMdp(
+def instance_fields(actions, labels=None):
+    """The fields of the instance :func:`build_mdp` makes, unchecked."""
+    return dict(
         n_states=len(actions),
         actions=tuple(
             tuple(
@@ -20,6 +16,15 @@ def build_mdp(actions, labels=None):
         ),
         state_labels=labels,
     )
+
+
+def build_mdp(actions, labels=None):
+    """Compact instance builder.
+
+    ``actions`` is a list over states; each entry is a list of
+    ``(cost, [(target, rate), ...])`` pairs.
+    """
+    return RateMdp(**instance_fields(actions, labels))
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ packed table.
 The writers must print exactly what ``json.dumps(obj, indent=2) + "\\n"``
 prints for the file's object; the reference builders below make that
 object from the ``actions`` tuples, as the writers once did.  The reader
-returns a valid instance table-backed, and an instance that parses but
-breaks an invariant built from tuples, for ``validate`` to word.
+returns the instance table-backed, and raises ValueError naming the first
+violation when the file parses but breaks an invariant.
 """
 
 import dataclasses
@@ -35,6 +35,7 @@ from mdpreduce import (
     dumps_instance,
     emit_lp,
     gen_transient,
+    load_instance,
     loads_discounted,
     loads_instance,
     maximize_lifetime,
@@ -279,12 +280,16 @@ INVALID = {
 
 class TestInvalidInstances:
     @pytest.mark.parametrize("case", sorted(INVALID))
-    def test_loads_and_validate_words_the_error(self, case):
+    def test_loads_and_validate_words_the_error(self, case, tmp_path):
         text, message = INVALID[case]
-        mdp = loads_instance(text)
-        assert built(mdp)
-        report = validate(mdp)
-        assert not report.ok and report.error == message
+        with pytest.raises(ValueError) as info:
+            loads_instance(text)
+        assert str(info.value) == message
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_instance(path)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_cli_check_reports_the_error(self, case, tmp_path, capsys):
@@ -303,16 +308,23 @@ class TestInvalidInstances:
 
     def test_a_target_too_large_for_the_table_is_out_of_range(self):
         # numpy raised OverflowError packing it, where the entry points promise ValueError
-        mdp = RateMdp(1, ((ActionData(0.0, ((2**70, 0.5),)),),))
+        actions = ((ActionData(0.0, ((2**70, 0.5),)),),)
         message = f"transition target {2**70} out of range at (0, a0)"
-        assert validate(mdp).error == message
         with pytest.raises(ValueError) as info:
-            maximize_lifetime(mdp)
+            RateMdp(1, actions)
+        assert str(info.value) == message
+        valid = RateMdp(1, ((ActionData(0.0),),))
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(valid, actions=actions)
         assert str(info.value) == message
 
     def test_discounted_base_is_read_through_the_same_path(self):
         obj = json.loads(INVALID["negative rate"][0])
         obj["discounted"] = {"beta": 0.5, "absorbing_state": 0, "origin": None}
+        with pytest.raises(ValueError, match=r"^negative rate at \(0, a0, 0\)$"):
+            loads_discounted(json.dumps(obj))
+        # the base is read first, so its violation comes before a bad header's
+        obj["discounted"]["beta"] = "0.5"
         with pytest.raises(ValueError, match=r"^negative rate at \(0, a0, 0\)$"):
             loads_discounted(json.dumps(obj))
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from mdpreduce import (
     solve_total_cost,
     validate,
 )
-from conftest import build_mdp
+from conftest import build_mdp, instance_fields
 
 
 class TestValidate:
@@ -34,9 +35,9 @@ class TestValidate:
         assert report.rate_class is RateClass.SUBSTOCHASTIC
 
     def test_negative_rate_reported_with_location(self, mk):
-        report = validate(mk([[(1.0, [(0, -0.1)])]]))
-        assert not report.ok
-        assert report.error == "negative rate at (0, a0, 0)"
+        with pytest.raises(ValueError) as info:
+            mk([[(1.0, [(0, -0.1)])]])
+        assert str(info.value) == "negative rate at (0, a0, 0)"
 
     def test_stochastic_two_state(self, mk):
         report = validate(mk([[(0.0, [(0, 0.6), (1, 0.4)])], [(0.0, [(1, 1.0)])]]))
@@ -45,29 +46,29 @@ class TestValidate:
         assert report.max_row_sum == pytest.approx(1.0, abs=1e-15)
 
     def test_empty_action_set(self):
-        mdp = RateMdp(2, ((ActionData(0.0),), ()))
-        report = validate(mdp)
-        assert not report.ok
-        assert "state 1 has no actions" in report.error
+        with pytest.raises(ValueError) as info:
+            RateMdp(2, ((ActionData(0.0),), ()))
+        assert str(info.value) == "state 1 has no actions"
 
     def test_out_of_range_target(self, mk):
-        report = validate(mk([[(0.0, [(3, 0.5)])]]))
-        assert not report.ok
-        assert "out of range" in report.error
+        with pytest.raises(ValueError) as info:
+            mk([[(0.0, [(3, 0.5)])]])
+        assert str(info.value) == "transition target 3 out of range at (0, a0)"
 
     def test_duplicate_target_rejected_not_summed(self, mk):
-        report = validate(mk([[(0.0, [(0, 0.25), (0, 0.25)])]]))
-        assert not report.ok
-        assert "duplicate transition target" in report.error
+        with pytest.raises(ValueError) as info:
+            mk([[(0.0, [(0, 0.25), (0, 0.25)])]])
+        assert str(info.value) == "duplicate transition target at (0, a0, 0)"
 
     def test_non_finite_cost(self, mk):
-        report = validate(mk([[(float("nan"), [])]]))
-        assert not report.ok
-        assert "non-finite cost" in report.error
+        with pytest.raises(ValueError) as info:
+            mk([[(float("nan"), [])]])
+        assert str(info.value) == "non-finite cost at (0, a0)"
 
     def test_named_action_in_location(self):
-        mdp = RateMdp(1, ((ActionData(0.0, ((0, -1.0),), name="stay"),),))
-        assert validate(mdp).error == "negative rate at (0, stay, 0)"
+        with pytest.raises(ValueError) as info:
+            RateMdp(1, ((ActionData(0.0, ((0, -1.0),), name="stay"),),))
+        assert str(info.value) == "negative rate at (0, stay, 0)"
 
 
 class TestClassifyRates:
@@ -139,22 +140,37 @@ class TestPackedTable:
 
     @pytest.mark.parametrize(
         "mdp",
+        # the fields of an invalid instance, and the first violation it names
         [
-            build_mdp([[(1.0, [(0, -0.5)])]]),
-            build_mdp([[(float("nan"), [])]]),
-            build_mdp([[(0.0, [(0, float("inf"))])]]),
-            build_mdp([[(0.0, [(3, 0.5)])]]),
-            build_mdp([[(0.0, [(0, 0.25), (1, 0.1), (0, 0.25)])], [(0.0, [])]]),
-            build_mdp([[(0.0, [])], [(0.0, [])]], labels=("a", "a")),
-            RateMdp(2, ((ActionData(0.0),), ())),
-            RateMdp(3, ((ActionData(0.0),),)),
-            RateMdp(1, ((ActionData(0.0, ((0, -1.0),), name="stay"),),)),
+            (instance_fields([[(1.0, [(0, -0.5)])]]), "negative rate at (0, a0, 0)"),
+            (instance_fields([[(float("nan"), [])]]), "non-finite cost at (0, a0)"),
+            (instance_fields([[(0.0, [(0, float("inf"))])]]), "non-finite rate at (0, a0, 0)"),
+            (instance_fields([[(0.0, [(3, 0.5)])]]), "transition target 3 out of range at (0, a0)"),
+            (
+                instance_fields([[(0.0, [(0, 0.25), (1, 0.1), (0, 0.25)])], [(0.0, [])]]),
+                "duplicate transition target at (0, a0, 0)",
+            ),
+            (
+                instance_fields([[(0.0, [])], [(0.0, [])]], labels=("a", "a")),
+                "state labels are not unique",
+            ),
+            (dict(n_states=2, actions=((ActionData(0.0),), ())), "state 1 has no actions"),
+            (dict(n_states=3, actions=((ActionData(0.0),),)), "actions lists 1 states, expected 3"),
+            (
+                dict(n_states=1, actions=((ActionData(0.0, ((0, -1.0),), name="stay"),),)),
+                "negative rate at (0, stay, 0)",
+            ),
         ],
     )
     def test_packing_raises_what_validate_reports(self, mdp):
+        fields, message = mdp
         with pytest.raises(ValueError) as info:
-            mdp.packed
-        assert str(info.value) == validate(mdp).error
+            RateMdp(**fields)
+        assert str(info.value) == message
+        # dataclasses.replace constructs too, so it cannot make one either
+        with pytest.raises(ValueError) as info:
+            dataclasses.replace(build_mdp([[(0.0, [])]]), **fields)
+        assert str(info.value) == message
 
     def test_maximize_lifetime_rejects_a_negative_rate(self, mk):
         # this used to return mu = [0.667], below the certificate's own mu >= 1

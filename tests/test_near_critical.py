@@ -108,6 +108,28 @@ class TestSolveTotalCostAtLargeK:
         assert residual <= 1e-12 * max(scale, 1.0)
 
 
+    def test_sparse_rows_at_1e6_take_the_slack_relative_to_k(self):
+        # 1 + R mu - mu comes out at 1.05e-9 here, round-off a few ulps of
+        # K = 1e6 that an absolute 1e-9 slack refused as a violation
+        sparse = GenSpec(n_states=400, max_actions=2, density=10 / 400,
+                         rate_class=Substochastic((1e-6, 1e-6)), seed=3)
+        code = (
+            "import json\n"
+            "from mdpreduce import GenSpec, Substochastic, certificate_residual\n"
+            "from mdpreduce import gen_transient, solve_total_cost\n"
+            f"mdp = gen_transient({sparse!r})\n"
+            "sol = solve_total_cost(mdp)\n"
+            "table, v = mdp.packed, sol.values\n"
+            "residual = abs(table.state_min(table.c + table.R @ v) - v).max()\n"
+            "cert = certificate_residual(mdp, sol.certificate.mu)\n"
+            "print(json.dumps([sol.certificate.K, cert, float(residual), float(abs(v).max())]))\n"
+        )
+        K, cert, residual, scale = run_child(code)
+        assert K == pytest.approx(1e6, rel=1e-9)
+        assert 1e-9 < cert <= 1e-12 * K
+        assert residual <= 1e-12 * max(scale, 1.0)
+
+
 def test_vi_raises_when_out_of_iterations():
     mdp = gen_transient(spec(1e-2))
     dmdp = build_hv(mdp, maximize_lifetime(mdp))

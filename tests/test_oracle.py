@@ -17,6 +17,7 @@ from mdpreduce import (
     check_ht,
     gen_ht,
     gen_transient,
+    similarity_transform,
     solve_average_cost,
     solve_total_cost,
     stationary_distribution,
@@ -201,8 +202,9 @@ SCALES = st.floats(0.01, 100.0)
 
 
 class TestSolverInvariances:
-    """Each solver's answer scales with the costs, and ignores an inserted
-    dominated action (n <= 6, A <= 3)."""
+    """Each solver's answer scales with the costs, ignores an inserted
+    dominated action, and follows a positive diagonal similarity (n <= 6,
+    A <= 3)."""
 
     @settings(max_examples=25, deadline=None)
     @given(oracle_cases(Substochastic((0.25, 0.6))), SCALES, st.data())
@@ -217,6 +219,20 @@ class TestSolverInvariances:
             assert other.optimal_actions == sol.optimal_actions
             other = solve_total_cost(padded, method=method)
             assert np.max(np.abs(other.values - sol.values)) <= 1e-9
+            assert other.optimal_actions == sol.optimal_actions
+
+    @settings(max_examples=25, deadline=None)
+    @given(oracle_cases(Substochastic((0.25, 0.6))), st.data())
+    def test_total_cost_under_similarity(self, case, data):
+        # c' = b(x) c and q' = b(x) q / b(y) turn v = c + Q v into v' = b v
+        mdp = gen_transient(case[0])
+        n = mdp.n_states
+        b = np.array(data.draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n)))
+        similar = similarity_transform(mdp, b)
+        for method in ("howard", "dantzig"):
+            sol = solve_total_cost(mdp, method=method)
+            other = solve_total_cost(similar, method=method)
+            assert np.max(np.abs(other.values - b * sol.values)) <= 1e-9 * max(1.0, b.max())
             assert other.optimal_actions == sol.optimal_actions
 
     @settings(max_examples=25, deadline=None)
