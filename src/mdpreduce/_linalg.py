@@ -3,22 +3,31 @@
 Every policy's system (I - beta P) x = b goes through :func:`solve_policy`;
 only the occupation measure's transposed system does not (see below).
 
-* A discounted system (beta < 1) with one right-hand side and more than
-  ``DENSE_MAX_N`` states is solved by BiCGSTAB, which applies I - beta P
-  through the sparse ``P`` alone, so no n x n array is built.  Its answer
-  is kept only when it comes with an a posteriori bound: when
-  ||beta P||_inf < 1,
+A system with one right-hand side and more than ``DENSE_MAX_N`` states is
+first run through BiCGSTAB, at most ``KRYLOV_MAXITER`` iterations from a
+cold start, which applies I - beta P through the sparse ``P`` alone, so no
+n x n array is built.  Its answer x must be finite and must come with an a
+posteriori bound, else the system falls back to dense LU:
+
+* Discounted (beta < 1): when ||beta P||_inf < 1,
   ||x - x*||_inf <= ||b - (I - beta P) x||_inf / (1 - ||beta P||_inf),
   and for a policy's stochastic rows ||beta P||_inf = beta.  The bound must
-  be at most 1e-12 max(1, ||x||_inf).  A breakdown, a non-finite answer or
-  a missed bound falls back to dense LU.
-* Everything else goes through dense LU with partial pivoting, so every
-  system with at most ``DENSE_MAX_N`` states keeps the LU's bits.  Lifetime systems (beta = 1) always stay on LU, since there a
-  singular factorization is the verdict, and a Krylov failure must never
-  read as one.  ``solve.occupation_measure`` factorizes its transposed
-  system z (I - beta P) = 1 itself: its right-hand side 1 is a left
-  eigenvector of I - beta P^T, and BiCGSTAB, whose shadow residual is
-  that right-hand side, breaks down there at its second step.
+  be at most 1e-12 max(1, ||x||_inf).
+* Lifetime (beta = 1, P = Q >= 0, b > 0): x must be positive and the
+  relative residual s = max_i |b - (I - Q) x|_i / b_i at most
+  ``LIFETIME_RTOL``.  Then Q x = x - b + r <= x - (1 - s) b < x, so
+  rho(Q) < 1 by Collatz-Wielandt, and (I - Q)^-1 = sum_n Q^n >= 0 gives
+  |x - tau| <= (I - Q)^-1 |r| <= s (I - Q)^-1 b = s tau entry by entry.
+  A missed test proves nothing either way, so only the LU, whose singular
+  factorization or non-positive tau is the verdict, can say "not
+  transient".
+
+Everything else, and every system with at most ``DENSE_MAX_N`` states, goes
+through dense LU with partial pivoting and keeps the LU's bits.
+``solve.occupation_measure`` factorizes its transposed system
+z (I - beta P) = 1 itself: its right-hand side 1 is a left eigenvector of
+I - beta P^T, and BiCGSTAB, whose shadow residual is that right-hand side,
+breaks down there at its second step.
 
 A factorization is treated as singular when its smallest pivot falls below
 1e-12 times the largest row 1-norm of the input matrix; this keeps
@@ -36,11 +45,23 @@ from .errors import SingularSystemError
 
 PIVOT_RTOL = 1e-12
 
-#: Discounted policy systems with more states than this go to BiCGSTAB.
-#: One evaluation (2-core x86-64 VM, BLAS on one thread): at n = 129 LU took
-#: 0.3 ms and BiCGSTAB 0.8-1.0 ms; at n = 301 LU took 1.8-3.5 ms and
-#: BiCGSTAB 1.2 ms.
+#: Policy systems with more states than this go to BiCGSTAB first.  One
+#: discounted evaluation (2-core x86-64 VM, BLAS on one thread): at n = 129
+#: LU took 0.3 ms and BiCGSTAB 0.8-1.0 ms; at n = 301 LU took 1.8-3.5 ms
+#: and BiCGSTAB 1.2 ms.
 DENSE_MAX_N = 256
+
+#: BiCGSTAB gives up after this many iterations and leaves the system to LU.
+#: The benchmark's systems converge in 0-24.  On a 300-state cycle that
+#: stalls, a lifetime solve took 8 ms with this cap and 33-35 ms with
+#: scipy's default of 10 n, against 2 ms for the LU alone.
+KRYLOV_MAXITER = 100
+
+#: Largest relative residual at which a lifetime answer is kept: the error
+#: in each tau(x) is then at most this fraction of it.  It must stay below
+#: transience.IMPROVE_TOL = 1e-12, else the error could flip a tie in the
+#: greedy improvement and make lifetime policy iteration cycle.
+LIFETIME_RTOL = 1e-13
 
 
 def factorize(a: np.ndarray):
@@ -71,12 +92,12 @@ def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
 
 def solve_policy(P, b: np.ndarray, beta: float = 1.0, context: str | None = None):
     """Solve (I - beta P) x = b, ``P`` the n x n sparse rows of a policy.  A
-    large discounted system goes to :func:`_krylov` first; otherwise, or
-    when that finds no bounded answer, one LU of the dense matrix.  When
-    that is singular, return None like :func:`try_solve`, or raise like
-    :func:`solve` if ``context`` is given."""
+    large system with one right-hand side goes to :func:`_krylov` first;
+    otherwise, or when that finds no bounded answer, one LU of the dense
+    matrix.  When that is singular, return None like :func:`try_solve`, or
+    raise like :func:`solve` if ``context`` is given."""
     n = P.shape[0]
-    if beta < 1.0 and np.ndim(b) == 1 and n > DENSE_MAX_N:
+    if n > DENSE_MAX_N and np.ndim(b) == 1:
         x = _krylov(P, b, beta)
         if x is not None:
             return x
@@ -87,18 +108,23 @@ def solve_policy(P, b: np.ndarray, beta: float = 1.0, context: str | None = None
 def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:
     """BiCGSTAB from a cold start on (I - beta P) x = b, applied through
     ``P`` alone; return ``x`` only when the module docstring's a posteriori
-    bound holds."""
+    test for its kind of system holds."""
     # loaded by the first large solve, so small workloads never pay for it
     from scipy.sparse.linalg import LinearOperator, bicgstab
 
     def apply(v):
         return v - beta * (P @ v)
 
-    gain = beta * float(np.max(P @ np.ones(P.shape[0])))  # ||beta P||_inf, as P >= 0
     with np.errstate(all="ignore"):
         a = LinearOperator(P.shape, matvec=apply, dtype=float)
-        x, info = bicgstab(a, b, rtol=1e-14, atol=0.0)
-        if info != 0 or gain >= 1.0 or not np.all(np.isfinite(x)):
+        x, info = bicgstab(a, b, rtol=1e-14, atol=0.0, maxiter=KRYLOV_MAXITER)
+        if info != 0 or not np.all(np.isfinite(x)):
             return None
-        bound = np.max(np.abs(b - apply(x))) / (1.0 - gain)
-    return x if bound <= 1e-12 * max(1.0, float(np.max(np.abs(x)))) else None
+        r = np.abs(b - apply(x))
+        if beta < 1.0:
+            gain = beta * float(np.max(P @ np.ones(P.shape[0])))  # ||beta P||_inf, as P >= 0
+            scale = max(1.0, float(np.max(np.abs(x))))
+            ok = gain < 1.0 and np.max(r) / (1.0 - gain) <= 1e-12 * scale
+        else:  # Collatz-Wielandt
+            ok = np.all(b > 0.0) and np.all(x > 0.0) and np.all(r <= LIFETIME_RTOL * b)
+    return x if ok else None

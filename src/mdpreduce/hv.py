@@ -294,8 +294,8 @@ def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
     b = np.asarray(b, dtype=float)
     if len(b) != mdp.n_states:
         raise ValueError(f"b has {len(b)} entries for {mdp.n_states} states")
-    if np.any(b <= 0.0):
-        raise ValueError("similarity vector must be entrywise positive")
+    if not np.all(np.isfinite(b) & (b > 0.0)):
+        raise ValueError("similarity vector must be entrywise finite and positive")
     table, names = mdp.packed, mdp.row_names()
     R, lengths = table.R, np.diff(table.R.indptr)
     with np.errstate(over="ignore", invalid="ignore"):  # named by _checked_table

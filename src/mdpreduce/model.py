@@ -253,7 +253,7 @@ def _row_sums_in_order(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 def _pack(mdp: RateMdp, rows) -> PackedMdp:
     n, labels = mdp.n_states, mdp.state_labels
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"n_states must be a positive integer, got {n!r}")
     if len(mdp.actions) != n:
         raise ValueError(f"actions lists {len(mdp.actions)} states, expected {n}")

@@ -3,10 +3,11 @@
 An instance is *transient* when the expected-lifetime matrices
 ``sum_n Q_phi^n`` are uniformly bounded over stationary policies.  The
 checker here is policy iteration on the lifetime-maximization problem.
-Each evaluated policy costs one LU of I - Q_phi and one solve of
-(I - Q_phi) tau = 1, and it is transient exactly when tau > 0 (see
-:func:`evaluate_lifetime`).  The terminal lifetime vector ``mu`` is a
-certificate that covers *all* policies, since it satisfies
+Each evaluated policy costs one solve of (I - Q_phi) tau = 1, by BiCGSTAB
+under a Collatz-Wielandt test or else by LU, and it is transient exactly
+when tau > 0 (see :func:`evaluate_lifetime`).  The terminal lifetime
+vector ``mu`` is a certificate that covers *all* policies, since it
+satisfies
 
     mu(x) >= 1 + sum_y q(y | x, a) mu(y)    for every (x, a).
 
@@ -144,11 +145,18 @@ def _evaluate(table: PackedMdp, phi: StationaryPolicy):
 def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
     """Expected lifetime tau of ``phi``: the solution of (I - Q_phi) tau = 1.
 
-    One LU and one solve decide transience, since Q_phi >= 0:
+    One solve decides transience, since Q_phi >= 0:
 
     - if tau > 0, then Q tau = tau - 1 <= (1 - 1/max tau) tau, so by
       Collatz-Wielandt rho(Q) <= 1 - 1/max tau < 1;
     - if rho(Q) < 1, then tau = sum_n Q^n 1 >= 1.
+
+    Above ``_linalg.DENSE_MAX_N`` states BiCGSTAB's answer x is kept only
+    when x > 0 and s = max |1 - (I - Q) x| <= ``_linalg.LIFETIME_RTOL``.
+    Then Q x <= x - (1 - s) < x, so rho(Q) < 1 by the same argument, and
+    |x - tau| <= (I - Q)^-1 |r| <= s tau: every entry is right to 1e-13
+    relative, below the 1e-12 of the greedy improvement.  Otherwise the
+    system goes to one dense LU, which alone returns a witness.
 
     Returns the tau vector, or a NonTransienceWitness: SingularSystem when
     I - Q_phi is numerically singular, else NegativeInverseEntry at the

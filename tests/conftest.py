@@ -1,6 +1,7 @@
 import pytest
+import scipy.sparse.linalg
 
-from mdpreduce import ActionData, RateMdp
+from mdpreduce import ActionData, RateMdp, _linalg
 
 
 def instance_fields(actions, labels=None):
@@ -47,3 +48,31 @@ def two_cycle():
             [(2.0, [(0, 1.0)])],
         ]
     )
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return counted_calls(monkeypatch)
+
+
+def counted_calls(monkeypatch):
+    """Counts the BiCGSTAB runs and the dense LU solves of solve_policy."""
+    counts = {"bicgstab": 0, "lu": 0}
+    bicgstab, try_solve = scipy.sparse.linalg.bicgstab, _linalg.try_solve
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", counted("bicgstab", bicgstab))
+    monkeypatch.setattr(_linalg, "try_solve", counted("lu", try_solve))
+    return counts
+
+
+def on_lu(monkeypatch, f, *args, **kwargs):
+    """``f(*args)`` with every policy system on dense LU."""
+    with monkeypatch.context() as m:
+        m.setattr(_linalg, "DENSE_MAX_N", 10**9)
+        return f(*args, **kwargs)

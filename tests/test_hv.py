@@ -275,6 +275,12 @@ class TestSimilarityTransform:
         with pytest.raises(ValueError, match="positive"):
             similarity_transform(geometric, [0.0])
 
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_non_finite_vector_is_blamed_not_the_instance(self, geometric, entry):
+        # NaN passes a b <= 0 test, and inf makes a NaN rate out of 0.5 inf / inf
+        with pytest.raises(ValueError, match="^similarity vector must be entrywise finite and positive$"):
+            similarity_transform(geometric, [entry])
+
     def test_inverse_mu_contracts_row_sums(self):
         for seed in range(10):
             mdp = random_transient(seed)

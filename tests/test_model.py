@@ -160,6 +160,8 @@ class TestPackedTable:
                 dict(n_states=1, actions=((ActionData(0.0, ((0, -1.0),), name="stay"),),)),
                 "negative rate at (0, stay, 0)",
             ),
+            # bool is an int subclass, and the reader refuses "states": true too
+            (dict(n_states=True, actions=((ActionData(1.0),),)), "n_states must be a positive integer, got True"),
         ],
     )
     def test_packing_raises_what_validate_reports(self, mdp):

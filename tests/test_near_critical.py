@@ -89,6 +89,30 @@ class TestLifetimeNearCritical:
         assert policy_spectral_radius(mdp, witness.policy) >= 1.0
 
 
+    @pytest.mark.parametrize("kill", [1e-4, 1e-6])
+    def test_above_the_dense_cap_the_lu_answers(self, kill):
+        # at n = 300 each lifetime system first goes to BiCGSTAB, whose
+        # residual's round-off at tau = 1/kill misses the 1e-13 test: every
+        # answer must then be the LU's, to the bit
+        large = GenSpec(n_states=300, max_actions=4, density=0.6,
+                        rate_class=Substochastic((kill, kill)), seed=0)
+        code = (
+            "import json\n"
+            "from mdpreduce import GenSpec, Substochastic, _linalg, gen_transient, maximize_lifetime\n"
+            f"mdp = gen_transient({large!r})\n"
+            "lu, try_solve = [], _linalg.try_solve\n"
+            "_linalg.try_solve = lambda a, b: lu.append(1) or try_solve(a, b)\n"
+            "K = maximize_lifetime(mdp).K\n"
+            "fallbacks = len(lu)\n"
+            "_linalg.DENSE_MAX_N = 10**9\n"
+            "print(json.dumps([K, maximize_lifetime(mdp).K, fallbacks, len(lu) - fallbacks]))\n"
+        )
+        K, reference, fallbacks, solves = run_child(code)
+        assert K == reference
+        assert K == pytest.approx(1.0 / kill, rel=1e-9)
+        assert fallbacks == solves
+
+
 class TestSolveTotalCostAtLargeK:
     @pytest.mark.parametrize("method", ["howard", "dantzig"])
     @pytest.mark.parametrize("kill", [1e-2, 1e-4, 1e-6])

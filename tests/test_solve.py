@@ -34,7 +34,7 @@ from mdpreduce import (
     value_iteration,
 )
 from mdpreduce.solve import solve
-from conftest import build_mdp
+from conftest import build_mdp, counted_calls, on_lu
 
 
 def make_discounted(actions, beta, absorbing=None):
@@ -421,34 +421,6 @@ def sparse_average():
     return gen_ht(sparse_spec(Stochastic()), 0, alpha=0.1)
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    return counted_calls(monkeypatch)
-
-
-def counted_calls(monkeypatch):
-    """Counts the BiCGSTAB runs and the dense LU solves of solve_policy."""
-    counts = {"bicgstab": 0, "lu": 0}
-    bicgstab, try_solve = scipy.sparse.linalg.bicgstab, _linalg.try_solve
-
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", counted("bicgstab", bicgstab))
-    monkeypatch.setattr(_linalg, "try_solve", counted("lu", try_solve))
-    return counts
-
-
-def on_lu(monkeypatch, f, *args, **kwargs):
-    """``f(*args)`` with every policy system on dense LU."""
-    with monkeypatch.context() as m:
-        m.setattr(_linalg, "DENSE_MAX_N", 10**9)
-        return f(*args, **kwargs)
-
-
 class TestSparsePath:
     def test_policy_evaluate_matches_lu(self, monkeypatch, calls, sparse_total, sparse_average):
         average = build_hvag(sparse_average, check_ht(sparse_average, 0))
@@ -476,11 +448,10 @@ class TestSparsePath:
     def test_average_cost_matches_lu(self, monkeypatch, calls, sparse_average):
         mdp = sparse_average
         sol = solve_average_cost(mdp, 0).solution
-        assert calls["bicgstab"] > 0
-        # the lifetime systems of check_ht stay on LU
-        lifetime_solves = calls["lu"]
+        # the lifetime systems of check_ht go to BiCGSTAB too, and none falls back
+        assert calls["bicgstab"] > 0 and calls["lu"] == 0
         reference = on_lu(monkeypatch, solve_average_cost, mdp, 0).solution
-        assert calls["lu"] > 2 * lifetime_solves
+        assert calls["lu"] > 0
         assert abs(sol.w - reference.w) <= 1e-12
         assert np.max(np.abs(sol.h - reference.h)) <= 1e-12
 

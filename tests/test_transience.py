@@ -5,24 +5,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 import mdpreduce
-from mdpreduce import transience
+from mdpreduce import _linalg, transience
 from mdpreduce import (
+    ActionData,
     GenSpec,
     HtCertificate,
     NegativeInverseEntry,
     NonTransienceWitness,
     NotConvergedWithinBudget,
+    RateMdp,
     SingularSystem,
     StationaryPolicy,
+    Stochastic,
     Substochastic,
     TransienceCertificate,
+    build_hv,
     certificate_residual,
     check_ht,
     enumerate_policies,
     evaluate_lifetime,
     find_ht_states,
+    gen_ht,
     gen_transient,
     maximize_lifetime,
     mu_value_iteration,
@@ -30,6 +36,8 @@ from mdpreduce import (
     truncate_at_state,
     vi_certificate,
 )
+from mdpreduce.solve import policy_evaluate
+from conftest import on_lu
 
 
 def random_transient(seed, n=4, max_actions=3, kill=(0.25, 0.6)):
@@ -290,3 +298,109 @@ class TestFindHtStates:
         )
         hits = find_ht_states(mdp)
         assert hits == sorted(hits, key=lambda pair: (pair[1], pair[0]))
+
+
+# -- Lifetime systems above _linalg.DENSE_MAX_N ------------------------------
+
+
+@pytest.fixture(scope="module")
+def total_dense():
+    """The benchmark's total-dense family: n = 300, dense rows, kill 0.1-0.3."""
+    return gen_transient(GenSpec(n_states=300, max_actions=5, density=0.6,
+                                 rate_class=Substochastic((0.1, 0.3)), seed=4))
+
+
+@pytest.fixture(scope="module")
+def average_sparse_truncated():
+    """The benchmark's average-sparse family, truncated at its target 0 as
+    check_ht does: n = 600, about 10 targets per row."""
+    mdp = gen_ht(GenSpec(n_states=600, max_actions=5, density=10 / 600,
+                         rate_class=Stochastic(), seed=4), 0, alpha=0.1)
+    return truncate_at_state(mdp, 0)
+
+
+class TestKrylovLifetime:
+    @pytest.mark.parametrize("family", ["total_dense", "average_sparse_truncated"])
+    def test_agrees_with_a_dense_solve(self, request, calls, family):
+        mdp = request.getfixturevalue(family)
+        assert mdp.n_states > _linalg.DENSE_MAX_N
+        rng = np.random.default_rng(0)
+        for _ in range(5):
+            phi = StationaryPolicy(tuple(int(rng.integers(mdp.n_actions(x))) for x in range(mdp.n_states)))
+            calls.update(bicgstab=0, lu=0)
+            tau = evaluate_lifetime(mdp, phi)
+            assert calls["bicgstab"] == 1 and calls["lu"] == 0
+            P = mdp.packed.policy(phi)[0].toarray()
+            reference = np.linalg.solve(np.eye(mdp.n_states) - P, np.ones(mdp.n_states))
+            assert np.max(np.abs(tau - reference) / reference) <= 1e-13
+
+    def test_certificate_matches_the_lu(self, monkeypatch, calls, total_dense):
+        cert = maximize_lifetime(total_dense)
+        assert calls["lu"] == 0
+        reference = on_lu(monkeypatch, maximize_lifetime, total_dense)
+        assert cert.K == pytest.approx(reference.K, rel=1e-13)
+        assert np.max(np.abs(cert.mu - reference.mu) / reference.mu) <= 1e-13
+
+    def test_supercritical_witness_comes_from_the_lu(self, monkeypatch, calls):
+        # every row sums to 1.05, so tau = (I - Q)^-1 1 = -20: BiCGSTAB's
+        # answer is not positive, and the verdict is the LU's
+        base = gen_transient(GenSpec(n_states=300, max_actions=2, density=10 / 300,
+                                     rate_class=Substochastic((0.5, 0.5)), seed=0))
+        mdp = RateMdp(300, tuple(
+            tuple(ActionData(a.cost, tuple((y, 2.1 * q) for y, q in a.transitions)) for a in acts)
+            for acts in base.actions
+        ))
+        assert np.all(np.abs(mdp.packed.R.sum(axis=1) - 1.05) <= 1e-12)
+        witness = maximize_lifetime(mdp)
+        assert calls["bicgstab"] == 1 and calls["lu"] == 1
+        assert witness == on_lu(monkeypatch, maximize_lifetime, mdp)
+        assert witness.evidence == NegativeInverseEntry(state=0)
+
+    @pytest.mark.parametrize("kind", ["breakdown", "stall", "nan", "negative", "wrong"])
+    def test_a_failed_run_never_reads_as_a_witness(self, monkeypatch, calls, kind, total_dense):
+        bicgstab = scipy.sparse.linalg.bicgstab
+
+        def broken(a, b, **kwargs):
+            x, _ = bicgstab(a, b, **kwargs)
+            return {
+                "breakdown": (x, -10),
+                "stall": (x, 5),
+                "nan": (np.full_like(x, np.nan), 0),
+                "negative": (-x, 0),
+                "wrong": (x * (1.0 + 1e-12), 0),
+            }[kind]
+
+        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", broken)
+        cert = maximize_lifetime(total_dense)
+        assert isinstance(cert, TransienceCertificate)
+        assert calls["lu"] > 0
+        reference = on_lu(monkeypatch, maximize_lifetime, total_dense)
+        assert np.array_equal(cert.mu, reference.mu)
+
+    @pytest.mark.parametrize("system", ["lifetime", "discounted"])
+    def test_a_stall_stops_at_the_cap_and_returns_the_lu_bits(self, monkeypatch, calls, system):
+        # a slow cycle with unequal rates: uncapped, BiCGSTAB ran 556
+        # iterations on its lifetime system and reported convergence at a
+        # residual of 5e-6
+        rates = np.linspace(0.9, 0.999, 300).tolist()
+        mdp = RateMdp(300, tuple((ActionData(1.0 + x % 3, (((x + 1) % 300, rate),)),)
+                                 for x, rate in enumerate(rates)))
+        if system == "lifetime":
+            evaluate, instance = evaluate_lifetime, mdp
+        else:
+            evaluate, instance = policy_evaluate, build_hv(mdp, on_lu(monkeypatch, maximize_lifetime, mdp))
+        phi = StationaryPolicy((0,) * instance.n_states)
+        iterations, bicgstab = [], scipy.sparse.linalg.bicgstab
+
+        def counted(a, b, **kwargs):
+            iterations.append(0)
+
+            def step(xk):
+                iterations[-1] += 1
+            return bicgstab(a, b, callback=step, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", counted)
+        calls["lu"] = 0
+        x = evaluate(instance, phi)
+        assert iterations == [_linalg.KRYLOV_MAXITER] and calls["lu"] == 1
+        assert np.array_equal(x, on_lu(monkeypatch, evaluate, instance, phi))
