@@ -110,15 +110,16 @@ def gen_transient(spec: GenSpec) -> RateMdp:
     return _table_backed(spec.n_states, states)
 
 
-def _minorized_action(rng, spec: GenSpec, ell: int, alpha: float):
+def _minorized_action(rng, spec: GenSpec, ell: int, alpha: float, alpha_max: float | None):
     n = spec.n_states
     cost = float(rng.uniform(*spec.cost_range))
     others = [y for y in _pick_targets(rng, n, spec.density) if y != ell]
+    into_ell = alpha if alpha_max is None else float(rng.uniform(alpha, alpha_max))
     targets, rates = [], []
     mass = 0.0
     if others:
         weights = rng.random(len(others))
-        weights *= (1.0 - alpha) / weights.sum()
+        weights *= (1.0 - into_ell) / weights.sum()
         for y, w in zip(others, weights.tolist()):
             if w != 0.0:
                 targets.append(y)
@@ -149,14 +150,19 @@ def gen_ht(
     ell: int,
     alpha: float = 0.2,
     minorize: bool = True,
+    alpha_max: float | None = None,
 ) -> RateMdp:
     """Random stochastic instance whose expected hitting time to ``ell`` is
     bounded for every policy.
 
     With ``minorize`` (the default) every action carries probability at
     least alpha into ``ell``, giving the a-priori bound K* <= 1/alpha.
-    Otherwise stochastic instances are drawn and rejection-sampled until
-    the hitting-time checker certifies ``ell``.
+    By default that probability is exactly alpha, so every policy of the
+    instance truncated at ``ell`` has the same lifetime 1/alpha and the
+    checker stops after one round; with ``alpha_max`` it is drawn per
+    action from [alpha, alpha_max], so the lifetimes differ.  Otherwise
+    stochastic instances are drawn and rejection-sampled until the
+    hitting-time checker certifies ``ell``.
     """
     if not isinstance(spec.rate_class, Stochastic):
         raise ValueError("gen_ht requires the Stochastic rate class")
@@ -164,13 +170,17 @@ def gen_ht(
         raise ValueError(f"state index {ell} out of range")
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if alpha_max is not None and not alpha <= alpha_max <= 1.0:
+        raise ValueError(f"alpha_max must lie in [alpha, 1], got {alpha_max}")
     rng = np.random.default_rng(spec.seed)
     for _ in range(HT_ATTEMPTS):
         states = []
         for _ in range(spec.n_states):
             k = int(rng.integers(1, spec.max_actions + 1))
             if minorize:
-                entry = [_minorized_action(rng, spec, ell, alpha) for _ in range(k)]
+                entry = [
+                    _minorized_action(rng, spec, ell, alpha, alpha_max) for _ in range(k)
+                ]
             else:
                 entry = [_plain_stochastic_action(rng, spec) for _ in range(k)]
             states.append(entry)

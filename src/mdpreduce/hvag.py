@@ -28,7 +28,7 @@ import numpy as np
 from .errors import AcoeResidualError
 from .hv import DiscountedMdp, _without_sink, admissible_beta, rescale
 from .model import RateClass, RateMdp, classify_rates
-from .transience import HtCertificate, check_ht
+from .transience import HtCertificate, check_ht, truncate_at_state
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,8 +71,10 @@ def build_hvag(
     probability >= alpha into ``ell``.
     """
     mu = np.asarray(cert.mu, dtype=float)
-    beta = admissible_beta(mdp, mu, cert.K_star, beta, ell=cert.ell)
-    return rescale(mdp, mu, beta, ell=cert.ell)
+    # one truncated table serves the certificate check and the rescaling
+    cut = truncate_at_state(mdp, cert.ell)
+    beta = admissible_beta(cut, mu, cert.K_star, beta)
+    return rescale(cut, mu, beta, ell=cert.ell)
 
 
 def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolution:

@@ -193,17 +193,21 @@ class PackedMdp:
         return int(self.first[x] + a)
 
     def action_sets(self, gap: np.ndarray, tol: float, equation: str | None = None):
-        """Per state, the action indices of the rows with |gap| <= tol.  With
-        ``equation`` named, a state left without one raises ValueError."""
+        """Per state, the action indices of the rows with |gap| <= tol, as a
+        list of tuples.  With ``equation`` named, a state left without one
+        raises ValueError.  The sets are cut in one pass from a single list
+        of hit actions, at each state's bound in the sorted hit rows."""
         hits = np.flatnonzero(np.abs(gap) <= tol)
-        groups = np.split(self.local[hits], np.searchsorted(hits, self.first[1:-1]))
-        empty = [x for x, group in enumerate(groups) if not group.size]
-        if equation is not None and empty:
-            raise ValueError(
-                f"no action within {tol} at state {empty[0]}; v does not solve the "
-                f"{equation} at this tolerance"
-            )
-        return [tuple(group.tolist()) for group in groups]
+        bounds = np.searchsorted(hits, self.first)
+        if equation is not None:
+            empty = np.flatnonzero(bounds[1:] == bounds[:-1])
+            if empty.size:
+                raise ValueError(
+                    f"no action within {tol} at state {empty[0]}; v does not solve the "
+                    f"{equation} at this tolerance"
+                )
+        actions, bounds = self.local[hits].tolist(), bounds.tolist()
+        return [tuple(actions[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
     def rows(self, phi) -> np.ndarray:
         """The row of each state's action under ``phi``."""
@@ -227,9 +231,12 @@ class PackedMdp:
         return self.R[rows], self.c[rows]
 
     def without_column(self, ell: int) -> PackedMdp:
-        """The same table with every rate into state ``ell`` removed."""
+        """The same table with every rate into state ``ell`` removed: the
+        table itself when it has none, as when it is truncated already."""
         R = self.R
         keep = R.indices != ell
+        if keep.all():
+            return self
         indptr = np.append(0, np.cumsum(keep))[R.indptr]
         cut = sparse.csr_matrix((R.data[keep], R.indices[keep], indptr), shape=R.shape)
         return PackedMdp(self.c, cut, self.first)

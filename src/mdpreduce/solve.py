@@ -10,6 +10,14 @@ solver is embedded.
 
 Tie-breaking is deterministic everywhere: prefer the incumbent action,
 then the lowest index.
+
+Inside the solvers a policy is the int array of its packed rows (one row
+of ``PackedMdp`` per state), so a round updates it with one ``np.where``
+and evaluates ``R[rows]``, ``c[rows]``.  At the public boundary policies
+stay StationaryPolicy objects: ``phi0`` and the argument of
+:func:`policy_evaluate` are checked through ``PackedMdp.rows``, and the
+SolveReport's policy is built once, next to its tuple-of-tuples
+optimal-action sets.
 """
 
 from __future__ import annotations
@@ -73,9 +81,15 @@ class OccupationMeasure:
         return np.bincount(table.owner, self.z, dmdp.n_states) - 1.0 - dmdp.beta * inflow
 
 
-def _bellman(table: PackedMdp, beta: float, v: np.ndarray):
-    """One application of the optimality operator; returns (Tv, greedy)."""
-    return table.state_argmin(table.c + beta * (table.R @ v))
+def _evaluate(dmdp: DiscountedMdp, rows: np.ndarray) -> np.ndarray:
+    """Discounted value of the policy whose packed rows are ``rows``."""
+    table = dmdp.base.packed
+    c = table.c[rows]
+    if dmdp.beta == 0.0:
+        return c
+    return _linalg.solve_policy(
+        table.R[rows], c, dmdp.beta, context="discounted policy evaluation"
+    )
 
 
 def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
@@ -84,10 +98,7 @@ def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
     The system is nonsingular for beta < 1 because P_phi is stochastic
     (strict diagonal dominance).  At beta = 0 the value is just c_phi.
     """
-    P, c = dmdp.base.packed.policy(phi)
-    if dmdp.beta == 0.0:
-        return c
-    return _linalg.solve_policy(P, c, dmdp.beta, context="discounted policy evaluation")
+    return _evaluate(dmdp, dmdp.base.packed.rows(phi))
 
 
 def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
@@ -102,21 +113,31 @@ def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
     return table.action_sets(gap, tol, "optimality equation")
 
 
-def _finish(dmdp, table, v, phi_choice, iterations, method, started):
-    tv, _ = _bellman(table, dmdp.beta, v)
+def _finish(dmdp, table, v, rows, iterations, method, started):
+    """The report of a run that stopped at values ``v`` with the policy
+    whose packed rows are ``rows``: the one place a solver builds its
+    StationaryPolicy."""
+    tv = table.state_min(table.c + dmdp.beta * (table.R @ v))
     residual = float(np.max(np.abs(tv - v)))
     sets = tuple(optimal_actions(dmdp, v, ACTION_TOL))
-    if not all(a in sets[x] for x, a in enumerate(phi_choice)):
+    choice = table.local[rows].tolist()
+    if not all(a in members for a, members in zip(choice, sets)):
         raise RuntimeError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
         values=v,
-        policy=StationaryPolicy(tuple(phi_choice)),
+        policy=StationaryPolicy(choice),
         optimal_actions=sets,
         iterations=iterations,
         bellman_residual=residual,
         method=method,
         elapsed_s=time.perf_counter() - started,
     )
+
+
+def _start(table: PackedMdp, phi0: StationaryPolicy | None) -> np.ndarray:
+    """The packed rows of ``phi0``, by default of action 0 everywhere, in a
+    fresh array: Dantzig's rule switches its entries in place."""
+    return table.first[:-1].copy() if phi0 is None else table.rows(phi0)
 
 
 def value_iteration(
@@ -130,7 +151,8 @@ def value_iteration(
     are within ``tol`` of the fixed point.  At beta = 0 one application is
     exact.  Successive increments must shrink by a factor of beta
     (contraction), which is checked each iteration, up to round-off of
-    1e-15 max(1, |v|).
+    1e-15 max(1, |v|).  Only the last sweep takes the greedy actions, from
+    the same q as its minimum.
     """
     started = time.perf_counter()
     beta = dmdp.beta
@@ -139,7 +161,8 @@ def value_iteration(
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     previous_delta = None
     for iteration in range(1, max_iter + 1):
-        tv, greedy = _bellman(table, beta, v)
+        q = table.c + beta * (table.R @ v)
+        tv = table.state_min(q)
         delta = float(np.max(np.abs(tv - v)))
         # the second test, for |v| > 1, runs only when the first fails
         if previous_delta is not None and not (
@@ -149,9 +172,9 @@ def value_iteration(
             raise RuntimeError("optimality operator failed to contract")
         v, previous_delta = tv, delta
         if delta <= threshold:
-            return _finish(
-                dmdp, table, v, greedy.tolist(), iteration, "value-iteration", started
-            )
+            _, greedy = table.state_argmin(q)
+            rows = table.first[:-1] + greedy
+            return _finish(dmdp, table, v, rows, iteration, "value-iteration", started)
     raise NotConvergedWithinBudget(
         f"value iteration still moving by {previous_delta:.3g} after {max_iter} iterations"
     )
@@ -161,23 +184,24 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     """Howard policy iteration: evaluate, then switch every state to its
     greedy action (ties to the incumbent, then the lowest index); stop when
     no state improves by more than 1e-12.  Values are nonincreasing
-    entrywise across rounds, which is checked.
+    entrywise across rounds, which is checked.  The policy is carried as
+    its packed rows from round to round.
     """
     started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
-    phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
-    v = policy_evaluate(dmdp, phi)
+    rows = _start(table, phi0)
+    v = _evaluate(dmdp, rows)
     iterations = 0
     while True:
         iterations += 1
         q = table.c + beta * (table.R @ v)
         low, best = table.state_argmin(q)
-        switch = low < q[table.rows(phi)] - IMPROVE_TOL
+        switch = low < q[rows] - IMPROVE_TOL
         if not switch.any():
-            return _finish(dmdp, table, v, tuple(phi), iterations, "howard-pi", started)
-        phi = StationaryPolicy(tuple(np.where(switch, best, phi.choice).tolist()))
-        v_next = policy_evaluate(dmdp, phi)
+            return _finish(dmdp, table, v, rows, iterations, "howard-pi", started)
+        rows = np.where(switch, table.first[:-1] + best, rows)
+        v_next = _evaluate(dmdp, rows)
         if not np.all(v_next <= v + 1e-9):
             raise RuntimeError("policy iteration must not increase values")
         v = v_next
@@ -188,29 +212,28 @@ def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Sol
     single state-action pair with the most negative reduced cost
     c(x,a) + beta sum p(y|x,a) v(y) - v(x) (ties: lowest state, then lowest
     action); stop when all reduced costs are >= -1e-12.  The iteration
-    count is the number of switches, at most 10,000 + 100 m^2.
+    count is the number of switches, at most 10,000 + 100 m^2.  The policy
+    is carried as its packed rows from round to round.
     """
     started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
-    phi = phi0 if phi0 is not None else StationaryPolicy((0,) * dmdp.n_states)
-    v = policy_evaluate(dmdp, phi)
+    rows = _start(table, phi0)
+    v = _evaluate(dmdp, rows)
     switches = 0
     cap = 10_000 + 100 * len(table.c) ** 2
     while True:
         reduced = table.c + beta * (table.R @ v) - v[table.owner]
         row = int(np.argmin(reduced))
         if not reduced[row] < -IMPROVE_TOL:
-            return _finish(dmdp, table, v, tuple(phi), switches, "dantzig-pi", started)
+            return _finish(dmdp, table, v, rows, switches, "dantzig-pi", started)
         switches += 1
         if switches > cap:
             raise NotConvergedWithinBudget(
                 f"Dantzig policy iteration exceeded {cap} switches (degeneracy cycle?)"
             )
-        choice = list(phi)
-        choice[table.owner[row]] = int(table.local[row])
-        phi = StationaryPolicy(tuple(choice))
-        v = policy_evaluate(dmdp, phi)
+        rows[table.owner[row]] = row
+        v = _evaluate(dmdp, rows)
 
 
 METHODS = {

@@ -14,6 +14,11 @@ satisfies
 The same machinery run on a truncated instance (all rates into one state
 ``ell`` removed) checks the bounded-hitting-time condition used by the
 average-cost reduction.
+
+The policy iteration carries its policy as the int array of its packed
+rows; a StationaryPolicy is built only for a NonTransienceWitness.  At
+the public boundary policies stay StationaryPolicy objects:
+:func:`evaluate_lifetime` checks its argument through ``PackedMdp.rows``.
 """
 
 from __future__ import annotations
@@ -131,15 +136,18 @@ def certificate_residual(
     return float(np.max(1.0 + table.R @ mu - mu[table.owner]))
 
 
-def _evaluate(table: PackedMdp, phi: StationaryPolicy):
-    P, _ = table.policy(phi)
-    tau = _linalg.solve_policy(P, np.ones(P.shape[0]))
+def _evaluate(table: PackedMdp, rows: np.ndarray):
+    """Lifetime of the policy whose packed rows are ``rows``, or its
+    witness, the only StationaryPolicy built here."""
+    tau = _linalg.solve_policy(table.R[rows], np.ones(len(rows)))
     if tau is None:
-        return NonTransienceWitness(policy=phi, evidence=SingularSystem())
-    failed = np.flatnonzero(~(tau > 0.0))  # NaN fails too
-    if failed.size:
-        return NonTransienceWitness(phi, NegativeInverseEntry(state=int(failed[0])))
-    return tau
+        evidence = SingularSystem()
+    else:
+        failed = np.flatnonzero(~(tau > 0.0))  # NaN fails too
+        if not failed.size:
+            return tau
+        evidence = NegativeInverseEntry(state=int(failed[0]))
+    return NonTransienceWitness(StationaryPolicy(table.local[rows].tolist()), evidence)
 
 
 def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
@@ -162,33 +170,34 @@ def evaluate_lifetime(mdp: RateMdp, phi: StationaryPolicy):
     I - Q_phi is numerically singular, else NegativeInverseEntry at the
     first state with tau <= 0.
     """
-    return _evaluate(mdp.packed, phi)
+    table = mdp.packed
+    return _evaluate(table, table.rows(phi))
 
 
-def _greedy_lifetime_improvement(table: PackedMdp, phi: StationaryPolicy, tau):
-    """One round of greedy improvement on 1 + sum q(y|x,a) tau(y): a state
-    moves to its first maximizing action when that beats tau(x) by more
-    than 1e-12 tau(x), and otherwise keeps its action.  Reports whether the
-    policy changed.  The test is relative because the round-off in
-    1 + R tau grows with tau: at K = 1e6 it is a few ulps of 1e6, about
-    1e-9, which no absolute 1e-12 can absorb."""
+def _greedy_lifetime_improvement(table: PackedMdp, rows: np.ndarray, tau):
+    """One round of greedy improvement on 1 + sum q(y|x,a) tau(y), on the
+    packed rows of a policy: a state moves to its first maximizing action
+    when that beats tau(x) by more than 1e-12 tau(x), and otherwise keeps
+    its row.  Returns the new rows and whether any changed.  The test is
+    relative because the round-off in 1 + R tau grows with tau: at K = 1e6
+    it is a few ulps of 1e6, about 1e-9, which no absolute 1e-12 can
+    absorb."""
     low, best = table.state_argmin(-(1.0 + table.R @ tau))
-    current = np.asarray(phi.choice)
-    choice = np.where(-low > tau * (1.0 + IMPROVE_TOL), best, current)
-    return StationaryPolicy(tuple(choice.tolist())), bool(np.any(choice != current))
+    better = np.where(-low > tau * (1.0 + IMPROVE_TOL), table.first[:-1] + best, rows)
+    return better, bool(np.any(better != rows))
 
 
 def _maximize_lifetime(table: PackedMdp):
     # each improving round moves to a new policy, so there are at most as
-    # many rounds as policies
+    # many rounds as policies; the policy is carried as its packed rows
     rounds = math.prod(np.diff(table.first).tolist())
-    phi = StationaryPolicy((0,) * (len(table.first) - 1))
+    rows = table.first[:-1]
     for _ in range(rounds):
-        result = _evaluate(table, phi)
+        result = _evaluate(table, rows)
         if isinstance(result, NonTransienceWitness):
             return result
         tau = result
-        phi, improved = _greedy_lifetime_improvement(table, phi, tau)
+        rows, improved = _greedy_lifetime_improvement(table, rows, tau)
         if not improved:
             return TransienceCertificate(
                 mu=tau, K=float(tau.max()), method="exact-policy-iteration"

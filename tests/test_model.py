@@ -10,6 +10,7 @@ from scipy import sparse
 from mdpreduce import (
     ActionData,
     InstanceFormatError,
+    PackedMdp,
     PolicyCapExceeded,
     RateClass,
     RateMdp,
@@ -369,3 +370,52 @@ class TestPackedAgainstLoops:
         assert table.action_sets(tied - 1.0, 0.5) == [
             tuple(int(a) for a in np.flatnonzero(row == 1.0)) for row in rows
         ]
+
+
+def _packed(counts):
+    """A packed table with ``counts[x]`` rows at state ``x`` and no rates."""
+    first = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
+    m = int(first[-1])
+    return PackedMdp(np.zeros(m), sparse.csr_matrix((m, len(counts))), first)
+
+
+def _split_sets(table, gap, tol):
+    """The per-state sets cut by np.split, kept as the reference."""
+    hits = np.flatnonzero(np.abs(gap) <= tol)
+    groups = np.split(table.local[hits], np.searchsorted(hits, table.first[1:-1]))
+    return [tuple(group.tolist()) for group in groups]
+
+
+class TestActionSets:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=12), st.data())
+    def test_one_pass_cut_matches_split(self, counts, data):
+        table = _packed(counts)
+        entry = st.one_of(
+            st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.5, 0.5, np.nan, np.inf])
+        )
+        m = len(table.c)
+        gap = np.array(data.draw(st.lists(entry, min_size=m, max_size=m)))
+        tol = data.draw(st.sampled_from([0.0, 0.5, 1e-8]) | st.floats(0.0, 2.0))
+        reference = _split_sets(table, gap, tol)
+        assert table.action_sets(gap, tol) == reference
+        empty = [x for x, members in enumerate(reference) if not members]
+        if empty:
+            with pytest.raises(ValueError, match=f"at state {empty[0]};"):
+                table.action_sets(gap, tol, "optimality equation")
+        else:
+            assert table.action_sets(gap, tol, "optimality equation") == reference
+
+    @pytest.mark.parametrize("blank, named", [((0,), 0), ((3,), 3), ((6,), 6), ((3, 6), 3)])
+    def test_empty_set_names_the_first_such_state(self, blank, named):
+        table = _packed([2, 1, 3, 1, 2, 2, 1])
+        gap = np.zeros(len(table.c))
+        for x in blank:
+            gap[table.first[x]:table.first[x + 1]] = 1.0
+        with pytest.raises(ValueError) as info:
+            table.action_sets(gap, 0.5, "optimality equation")
+        assert str(info.value) == (
+            f"no action within 0.5 at state {named}; v does not solve the "
+            "optimality equation at this tolerance"
+        )
+        assert table.action_sets(gap, 0.5)[named] == ()

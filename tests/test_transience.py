@@ -113,9 +113,10 @@ class TestMaximizeLifetime:
         mdp = mk([[(1.0, [(0, 0.5)]), (1.0, [(0, 0.9)])]])
         seen = []
 
-        def flip(table, phi, tau):
-            seen.append(phi[0])
-            return StationaryPolicy((1 - phi[0],)), True
+        def flip(table, rows, tau):
+            # the one state's actions are rows 0 and 1
+            seen.append(int(rows[0]))
+            return 1 - rows, True
 
         monkeypatch.setattr(transience, "_greedy_lifetime_improvement", flip)
         with pytest.raises(NotConvergedWithinBudget, match="after 2 rounds"):
@@ -222,6 +223,10 @@ class TestTruncateAtState:
     def test_no_transitions_into_ell_is_identity(self, mk):
         mdp = mk([[(0.0, [(1, 0.5)])], [(0.0, [(1, 0.25)])]])
         assert truncate_at_state(mdp, 0) == mdp
+        # nothing to cut: the table itself, so build_hvag truncates once
+        assert mdp.packed.without_column(0) is mdp.packed
+        cut = mdp.packed.without_column(1)
+        assert cut is not mdp.packed and cut.without_column(1) is cut
 
     def test_self_loop_removed(self, geometric):
         assert truncate_at_state(geometric, 0).actions[0][0].transitions == ()
@@ -355,6 +360,40 @@ class TestKrylovLifetime:
         assert calls["bicgstab"] == 1 and calls["lu"] == 1
         assert witness == on_lu(monkeypatch, maximize_lifetime, mdp)
         assert witness.evidence == NegativeInverseEntry(state=0)
+
+    def test_unequal_mass_into_ell_takes_several_rounds(self, monkeypatch, calls):
+        # with exactly alpha into ell every truncated policy lives 1/alpha
+        # and the checker stops after one round; drawn from [alpha, 3 alpha]
+        # the lifetimes differ and the rounds run on BiCGSTAB alone
+        spec = GenSpec(n_states=600, max_actions=5, density=10 / 600,
+                       rate_class=Stochastic(), seed=31)
+        mdp = gen_ht(spec, 0, alpha=0.1, alpha_max=0.3)
+        into_ell = mdp.packed.R[:, 0].toarray().ravel()
+        assert np.all((into_ell >= 0.1 - 1e-12) & (into_ell <= 0.3 + 1e-12))
+        assert np.ptp(into_ell) > 0.1
+        rounds = []
+        improve = transience._greedy_lifetime_improvement
+
+        def counted(*args):
+            rounds.append(1)
+            return improve(*args)
+
+        monkeypatch.setattr(transience, "_greedy_lifetime_improvement", counted)
+        cert = check_ht(mdp, 0)
+        assert len(rounds) >= 3
+        assert calls == {"bicgstab": len(rounds), "lu": 0}
+        reference = on_lu(monkeypatch, check_ht, mdp, 0)
+        assert np.max(np.abs(cert.mu - reference.mu) / reference.mu) <= 1e-13
+        assert cert.K_star == pytest.approx(reference.K_star, rel=1e-13)
+
+    def test_alpha_max_is_checked_and_off_by_default(self):
+        spec = GenSpec(n_states=5, max_actions=2, rate_class=Stochastic(), seed=2)
+        with pytest.raises(ValueError, match="alpha_max"):
+            gen_ht(spec, 0, alpha=0.2, alpha_max=0.1)
+        with pytest.raises(ValueError, match="alpha_max"):
+            gen_ht(spec, 0, alpha=0.2, alpha_max=1.5)
+        assert gen_ht(spec, 0, alpha=0.2, alpha_max=None) == gen_ht(spec, 0, alpha=0.2)
+        assert gen_ht(spec, 0, alpha=0.2, alpha_max=0.6) != gen_ht(spec, 0, alpha=0.2)
 
     @pytest.mark.parametrize("kind", ["breakdown", "stall", "nan", "negative", "wrong"])
     def test_a_failed_run_never_reads_as_a_witness(self, monkeypatch, calls, kind, total_dense):
