@@ -6,8 +6,11 @@ only the occupation measure's transposed system does not (see below).
 A system with one right-hand side and more than ``DENSE_MAX_N`` states is
 first run through BiCGSTAB, at most ``KRYLOV_MAXITER`` iterations from a
 cold start, which applies I - beta P through the sparse ``P`` alone, so no
-n x n array is built.  Its answer x must be finite and must come with an a
-posteriori bound, else the system falls back to dense LU:
+n x n array is built.  The loop is this module's own :func:`_bicgstab`,
+which repeats scipy's unpreconditioned ``bicgstab`` step for step and so
+gives its bits, without its operator and preconditioner layers.  Its
+answer x must be finite and must come with an a posteriori bound, else the
+system falls back to dense LU:
 
 * Discounted (beta < 1): when ||beta P||_inf < 1,
   ||x - x*||_inf <= ||b - (I - beta P) x||_inf / (1 - ||beta P||_inf),
@@ -36,6 +39,7 @@ singularity decisions reproducible across platforms.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -46,15 +50,16 @@ from .errors import SingularSystemError
 PIVOT_RTOL = 1e-12
 
 #: Policy systems with more states than this go to BiCGSTAB first.  One
-#: discounted evaluation (2-core x86-64 VM, BLAS on one thread): at n = 129
-#: LU took 0.3 ms and BiCGSTAB 0.8-1.0 ms; at n = 301 LU took 1.8-3.5 ms
-#: and BiCGSTAB 1.2 ms.
+#: discounted evaluation of a total-dense policy (2-core x86-64 VM, BLAS on
+#: one thread, median of 200): at n = 129 LU took 0.33 ms and the BiCGSTAB
+#: loop 0.63 ms; at n = 301 LU took 2.0 ms and the loop 1.2 ms.  The
+#: pinned runs and golden digests depend on which path each size takes.
 DENSE_MAX_N = 256
 
 #: BiCGSTAB gives up after this many iterations and leaves the system to LU.
 #: The benchmark's systems converge in 0-24.  On a 300-state cycle that
-#: stalls, a lifetime solve took 8 ms with this cap and 33-35 ms with
-#: scipy's default of 10 n, against 2 ms for the LU alone.
+#: stalls, a lifetime solve took 4.2 ms with this cap and 23-24 ms with a
+#: cap of 10 n (scipy's default), against 1.8 ms for the LU alone.
 KRYLOV_MAXITER = 100
 
 #: Largest relative residual at which a lifetime answer is kept: the error
@@ -62,6 +67,10 @@ KRYLOV_MAXITER = 100
 #: transience.IMPROVE_TOL = 1e-12, else the error could flip a tie in the
 #: greedy improvement and make lifetime policy iteration cycle.
 LIFETIME_RTOL = 1e-13
+
+#: scipy's rho and omega breakdown threshold, eps squared (its comment
+#: suspects sqrt was meant; kept for the same bits).
+_BREAKDOWN_TOL = np.finfo(float).eps ** 2
 
 
 def factorize(a: np.ndarray):
@@ -109,16 +118,13 @@ def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:
     """BiCGSTAB from a cold start on (I - beta P) x = b, applied through
     ``P`` alone; return ``x`` only when the module docstring's a posteriori
     test for its kind of system holds."""
-    # loaded by the first large solve, so small workloads never pay for it
-    from scipy.sparse.linalg import LinearOperator, bicgstab
 
     def apply(v):
         return v - beta * (P @ v)
 
     with np.errstate(all="ignore"):
-        a = LinearOperator(P.shape, matvec=apply, dtype=float)
-        x, info = bicgstab(a, b, rtol=1e-14, atol=0.0, maxiter=KRYLOV_MAXITER)
-        if info != 0 or not np.all(np.isfinite(x)):
+        x = _bicgstab(apply, b)
+        if x is None or not np.all(np.isfinite(x)):
             return None
         r = np.abs(b - apply(x))
         if beta < 1.0:
@@ -128,3 +134,52 @@ def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:
         else:  # Collatz-Wielandt
             ok = np.all(b > 0.0) and np.all(x > 0.0) and np.all(r <= LIFETIME_RTOL * b)
     return x if ok else None
+
+
+def _bicgstab(apply, b: np.ndarray) -> np.ndarray | None:
+    """Unpreconditioned BiCGSTAB (van der Vorst, 1992) on A x = b from
+    x = 0, with ``apply(v) = A v``: step for step scipy 1.17's
+    ``bicgstab(A, b, rtol=1e-14, atol=0.0, maxiter=KRYLOV_MAXITER)``, and
+    so its bits, without its operator layers.  Returns ``x`` once
+    ||r||_2 < 1e-14 ||b||_2, or None on a breakdown or after
+    ``KRYLOV_MAXITER`` iterations.  The norms are sqrt(r . r), as
+    ``np.linalg.norm`` computes them; the scalars stay numpy floats, so a
+    zero ``t . t`` divides to inf or NaN, as in scipy, and raises nothing."""
+    r = np.array(b, dtype=float)
+    rtilde = r.copy()
+    bnorm = math.sqrt(r.dot(r))
+    if bnorm == 0.0:
+        return r
+    atol = 1e-14 * bnorm
+    x = np.zeros_like(r)
+    for iteration in range(KRYLOV_MAXITER):
+        if math.sqrt(r.dot(r)) < atol:
+            return x
+        rho = rtilde.dot(r)
+        if abs(rho) < _BREAKDOWN_TOL:
+            return None
+        if iteration:
+            if abs(omega) < _BREAKDOWN_TOL:
+                return None
+            p -= omega * v
+            p *= (rho / rho_prev) * (alpha / omega)
+            p += r
+        else:
+            p = r.copy()
+        v = apply(p)
+        rv = rtilde.dot(v)
+        if rv == 0:
+            return None
+        alpha = rho / rv
+        r -= alpha * v
+        if math.sqrt(r.dot(r)) < atol:
+            x += alpha * p
+            return x
+        # scipy copies r into s here; every use of s comes before r moves
+        t = apply(r)
+        omega = t.dot(r) / t.dot(t)
+        x += alpha * p
+        x += omega * r
+        r -= omega * t
+        rho_prev = rho
+    return None

@@ -217,7 +217,8 @@ def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
         np.cumsum(counts, out=indptr[1:])
         if clamped.any():
             row_of = np.repeat(np.arange(m + 1), counts)
-            totals = _row_sums_in_order(probs, indptr)
+            kept = sparse.csr_matrix((probs, targets, indptr), shape=(m + 1, n + 1))
+            totals = _row_sums_in_order(kept)
             probs = np.where(clamped[row_of], probs / totals[row_of], probs)
 
     P = sparse.csr_matrix((probs, targets, indptr), shape=(m + 1, n + 1))

@@ -243,19 +243,20 @@ class PackedMdp:
 
     def row_sums(self, data: np.ndarray | None = None) -> np.ndarray:
         """Sum of each row of ``R`` (or of ``data`` laid out like ``R.data``),
-        added left to right in transition order, as Python's ``sum`` did
-        before 3.12.  Transformed files and the stochastic classification
-        depend on the last digit of these sums."""
-        return _row_sums_in_order(self.R.data if data is None else data, self.R.indptr)
+        added left to right in transition order from 0.0, as Python's
+        ``sum`` did before 3.12, by one mat-vec against ones.  Transformed
+        files and the stochastic classification depend on the last digit
+        of these sums."""
+        R = self.R
+        if data is not None:
+            R = sparse.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
+        return _row_sums_in_order(R)
 
 
-def _row_sums_in_order(data: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    # cumsum adds strictly left to right; np.add.reduce sums pairwise.  The
-    # last column is always padding, so an empty row sums to 0.0.
-    lengths = np.diff(indptr)
-    padded = np.zeros((len(lengths), int(lengths.max(initial=0)) + 1))
-    padded[np.arange(padded.shape[1]) < lengths[:, None]] = data
-    return np.cumsum(padded, axis=1, out=padded)[:, -1].copy()
+def _row_sums_in_order(R: sparse.csr_matrix) -> np.ndarray:
+    # scipy's csr_matvec adds each row's products left to right from 0.0,
+    # and q * 1.0 is exact; np.add.reduce and reduceat sum in another order
+    return R @ np.ones(R.shape[1])
 
 
 def _pack(mdp: RateMdp, rows) -> PackedMdp:

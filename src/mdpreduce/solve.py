@@ -22,6 +22,7 @@ optimal-action sets.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -186,12 +187,19 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     no state improves by more than 1e-12.  Values are nonincreasing
     entrywise across rounds, which is checked.  The policy is carried as
     its packed rows from round to round.
+
+    Hansen, Miltersen and Zwick (J. ACM 60(1), 2013) bound the rounds by
+    O(m K log(n K)), K = 1/(1 - beta); past 100 + 10 m K log(n K)
+    rounds, far above that, the improvement must be cycling and
+    NotConvergedWithinBudget is raised.
     """
     started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
     rows = _start(table, phi0)
     v = _evaluate(dmdp, rows)
+    K = 1.0 / (1.0 - beta)
+    cap = 100 + math.ceil(10 * len(table.c) * K * math.log(len(rows) * K))
     iterations = 0
     while True:
         iterations += 1
@@ -200,6 +208,10 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
         switch = low < q[rows] - IMPROVE_TOL
         if not switch.any():
             return _finish(dmdp, table, v, rows, iterations, "howard-pi", started)
+        if iterations > cap:
+            raise NotConvergedWithinBudget(
+                f"Howard policy iteration exceeded {cap} rounds (improvement cycle?)"
+            )
         rows = np.where(switch, table.first[:-1] + best, rows)
         v_next = _evaluate(dmdp, rows)
         if not np.all(v_next <= v + 1e-9):

@@ -215,6 +215,34 @@ class TestPackedTable:
             expected.append(total)
         assert mdp.packed.row_sums()[: len(rows)].tolist() == expected
 
+    def test_row_sums_match_a_python_loop_bit_for_bit(self):
+        # signed data, as the surplus that hv sums: empty rows, -0.0,
+        # cancelling magnitudes and rows longer than 128
+        rng = np.random.default_rng(4)
+        rows = [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0, -1.0],
+                [1e8, 1.0, -1e8], [1e-8, 1e8, -1e8, -1e-8], [0.1] * 300]
+        for k in rng.integers(0, 401, 200):
+            signs = rng.choice([-1.0, 1.0], k)
+            rows.append((signs * rng.random(k) * 10.0 ** rng.integers(-8, 9, k)).tolist())
+        lengths = [len(row) for row in rows]
+        indptr = np.append(0, np.cumsum(lengths))
+        data = np.array([q for row in rows for q in row])
+        indices = np.concatenate([np.arange(k) for k in lengths])
+        R = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), max(lengths)))
+        table = PackedMdp(np.zeros(len(rows)), R, np.arange(len(rows) + 1))
+        expected = []
+        for row in rows:
+            total = 0.0
+            for q in row:
+                total += q
+            expected.append(total)
+        expected = np.array(expected).tobytes()
+        assert table.row_sums().tobytes() == expected
+        assert table.row_sums(data.copy()).tobytes() == expected
+        # np.add.reduceat sums in another order, and these rows tell them apart
+        nonempty = np.flatnonzero(lengths)
+        assert (np.add.reduceat(data, indptr[nonempty]) != table.row_sums()[nonempty]).any()
+
 
 class TestEnumeratePolicies:
     def test_two_by_three(self, mk):

@@ -7,12 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 from scipy.optimize import linprog
 
+import mdpreduce.solve
 from mdpreduce import (
     DiscountedMdp,
     GenSpec,
+    NotConvergedWithinBudget,
     StationaryPolicy,
     Stochastic,
     Substochastic,
@@ -141,6 +142,25 @@ class TestHowardPi:
         for seed in range(15):
             report = howard_pi(hv_instance(seed))
             assert report.bellman_residual <= 1e-10
+
+    def test_a_cycling_improvement_stops_at_the_round_cap(self, monkeypatch):
+        # with a negative threshold every state "improves" in every round
+        dmdp = hv_instance(0, n=4, max_actions=2)
+        evaluations = []
+        evaluate = mdpreduce.solve._evaluate
+
+        def counted(*args):
+            evaluations.append(1)
+            return evaluate(*args)
+
+        monkeypatch.setattr(mdpreduce.solve, "IMPROVE_TOL", -1.0)
+        monkeypatch.setattr(mdpreduce.solve, "_evaluate", counted)
+        m, n, K = len(dmdp.base.packed.c), dmdp.n_states, 1.0 / (1.0 - dmdp.beta)
+        cap = 100 + math.ceil(10 * m * K * math.log(n * K))
+        with pytest.raises(NotConvergedWithinBudget, match=f"exceeded {cap} rounds"):
+            howard_pi(dmdp)
+        # the first policy, then one per round switched
+        assert len(evaluations) == cap + 1
 
 
 class TestDantzigPi:
@@ -475,18 +495,19 @@ class TestSparsePath:
 
 
 def broken_bicgstab(kind):
-    """A bicgstab that returns a breakdown, a stall, NaN, a wrong answer or
+    """A BiCGSTAB that breaks down, stalls, or returns NaN, a wrong answer or
     one whose residual overflows."""
-    bicgstab = scipy.sparse.linalg.bicgstab
+    bicgstab = _linalg._bicgstab
 
-    def run(a, b, **kwargs):
-        x, _ = bicgstab(a, b, **kwargs)
+    def run(apply, b):
+        if kind == "breakdown":  # A = 0 gives rtilde . A p = 0 at the first step
+            return bicgstab(lambda v: 0.0 * v, b)
+        x = bicgstab(apply, b)
         return {
-            "breakdown": (x, -10),
-            "stall": (x, 5),
-            "nan": (np.full_like(x, np.nan), 0),
-            "wrong": (x + 1e-6, 0),
-            "overflow": (np.full_like(x, 1e308), 0),
+            "stall": None,
+            "nan": np.full_like(x, np.nan),
+            "wrong": x + 1e-6,
+            "overflow": np.full_like(x, 1e308),
         }[kind]
     return run
 
@@ -512,7 +533,7 @@ class TestKrylovFallback:
     def test_a_failed_run_returns_the_lu_bits(self, monkeypatch, calls, kind, sparse_total):
         dmdp = sparse_total
         phi = StationaryPolicy((0,) * dmdp.n_states)
-        monkeypatch.setattr(scipy.sparse.linalg, "bicgstab", broken_bicgstab(kind))
+        monkeypatch.setattr(_linalg, "_bicgstab", broken_bicgstab(kind))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             v = policy_evaluate(dmdp, phi)
