@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import RateMdp, _checked_table, from_packed
+from .model import RateMdp, _checked_table, _sum_in_order, from_packed
 from .transience import HtCertificate, check_ht
 
 #: Draws ``gen_ht`` makes without minorization before it gives up.
@@ -141,7 +141,7 @@ def _plain_stochastic_action(rng, spec: GenSpec):
     weights = rng.random(len(targets))
     weights /= weights.sum()
     rates = weights[:-1].tolist()
-    rates.append(1.0 - sum(rates))
+    rates.append(1.0 - _sum_in_order(rates))
     return cost, targets, rates
 
 

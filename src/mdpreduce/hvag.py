@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import AcoeResidualError
 from .hv import DiscountedMdp, _without_sink, admissible_beta, rescale
-from .model import RateClass, RateMdp, classify_rates
+from .model import RateClass, RateMdp, StationaryPolicy, classify_rates
 from .transience import HtCertificate, check_ht, truncate_at_state
 
 
@@ -109,8 +109,27 @@ def verify_acoe(
     Returns the residuals and the optimal-action sets; raises
     AcoeResidualError (carrying the residuals) when the worst residual
     exceeds ``tol``.  With ``cross_check`` the per-state sets are also
-    asserted to coincide with the optimal-action sets of the discounted
-    reduction, which requires re-running the reduction pipeline.
+    checked against the optimal-action sets of the discounted reduction,
+    which requires re-running the reduction pipeline; a disagreement
+    raises AssertionError.
+
+    The cross-check rests on the one-step identity of
+    :func:`lemma2_identity`: at a non-sink row, with v the optimal
+    discounted values and h = mu (v - v(ell)),
+
+        v(x) - c'(x,a) - beta sum_y p'(y|x,a) v(y)
+            = [w + h(x) - c(x,a) - sum_y q(y|x,a) h(y)] / mu(x),
+
+    so the discounted gap is the ACOE gap divided by mu(x).  Hence:
+
+    - the discounted sets are cut where mu(x) |gap| <= tol, the same scale
+      as the ACOE sets; cut at |gap| <= tol, an action whose ACOE gap lies
+      in (tol, mu(x) tol] would land in the discounted set only;
+    - Howard's run starts at the ACOE's greedy policy (the lowest-index
+      action of each ACOE set, action 0 at the sink).  When (w, h) solves
+      the ACOE, that policy is optimal for the reduction, and the run
+      stops after one evaluation; when it is not, Howard goes on from it
+      to the optimum, so the check is as strong as from a cold start.
 
     Only meaningful for stochastic instances (the average-cost criterion
     needs probabilities), which is enforced.
@@ -125,7 +144,8 @@ def verify_acoe(
     if any(not members for members in sets):
         raise AcoeResidualError(max_residual, residuals)
     if cross_check:
-        from .solve import howard_pi, optimal_actions
+        # imported here, by name, so a wrapped solve.howard_pi is the one run
+        from .solve import howard_pi
 
         cert = check_ht(mdp, sol.ell)
         if not isinstance(cert, HtCertificate):
@@ -133,12 +153,18 @@ def verify_acoe(
                 f"bounded hitting time to state {sol.ell} no longer certifiable"
             )
         dmdp = build_hvag(mdp, cert)
-        report = howard_pi(dmdp)
-        discounted_sets = optimal_actions(dmdp, report.values, tol)
-        if list(discounted_sets[: mdp.n_states]) != list(sets):
+        start = StationaryPolicy([members[0] for members in sets] + [0])
+        v = howard_pi(dmdp, phi0=start).values
+        table, dtable = mdp.packed, dmdp.base.packed
+        # the sink's row comes last; the rows before it are those of ``table``
+        gap = (v[dtable.owner] - dtable.c - dmdp.beta * (dtable.R @ v))[:-1]
+        discounted_sets = table.action_sets(
+            cert.mu[table.owner] * gap, tol, "optimality equation"
+        )
+        if discounted_sets != sets:
             raise AssertionError(
                 "ACOE optimal-action sets disagree with the discounted "
-                f"reduction's: {sets} vs {discounted_sets[: mdp.n_states]}"
+                f"reduction's: {sets} vs {discounted_sets}"
             )
     return AcoeReport(
         max_residual=max_residual,

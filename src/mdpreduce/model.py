@@ -77,7 +77,7 @@ class ActionData:
         )
 
     def row_sum(self) -> float:
-        return float(sum(r for _, r in self.transitions))
+        return _sum_in_order(r for _, r in self.transitions)
 
 
 @dataclass(frozen=True)
@@ -251,6 +251,16 @@ class PackedMdp:
         if data is not None:
             R = sparse.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
         return _row_sums_in_order(R)
+
+
+def _sum_in_order(values) -> float:
+    """``values`` added left to right from 0.0.  Python's ``sum`` does that
+    for floats only before 3.12; since, it compensates, which moves the last
+    bit of many random probability rows."""
+    total = 0.0
+    for value in values:
+        total += value
+    return float(total)
 
 
 def _row_sums_in_order(R: sparse.csr_matrix) -> np.ndarray:

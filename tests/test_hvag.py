@@ -24,6 +24,9 @@ from mdpreduce import (
     stationary_distribution,
     verify_acoe,
 )
+from mdpreduce import solve
+
+from conftest import build_mdp
 
 
 def random_ht(seed, n=4, max_actions=3, alpha=0.25, ell=0):
@@ -155,6 +158,91 @@ class TestVerifyAcoe:
         solution = AverageSolution(w=0.0, h=[0.0], ell=0)
         with pytest.raises(ValueError, match="stochastic"):
             verify_acoe(geometric, solution, tol=1e-9)
+
+
+def recorded_cross_check(monkeypatch, mdp, solution, tol):
+    """verify_acoe's report and the Howard runs inside it, each as its
+    starting policy and its report."""
+    runs = []
+    howard = solve.howard_pi
+
+    def recorded(dmdp, phi0=None):
+        runs.append((phi0, howard(dmdp, phi0=phi0)))
+        return runs[-1][1]
+
+    with monkeypatch.context() as m:
+        m.setattr(solve, "howard_pi", recorded)
+        return verify_acoe(mdp, solution, tol), runs
+
+
+def sparse_ht(seed, alpha_max=None):
+    # seed 7 without alpha_max is test_pinned_runs' average-600-sparse
+    spec = GenSpec(600, 4, Stochastic(), density=10 / 600, seed=seed)
+    return gen_ht(spec, ell=0, alpha=0.1, alpha_max=alpha_max)
+
+
+def tie_at_state_1(*costs):
+    """ell = 0 leads to state 1, whose actions, one per cost, return to 0
+    with probability 1/2; mu = (3, 2)."""
+    return build_mdp(
+        [
+            [(0.0, [(1, 1.0)])],
+            [(c, [(0, 0.5), (1, 0.5)]) for c in costs],
+        ]
+    )
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize(
+        "seed, alpha_max", [(7, None), (31, 0.3)], ids=["average-600-sparse", "alpha-max"]
+    )
+    def test_the_rerun_stops_after_one_evaluation(self, monkeypatch, seed, alpha_max):
+        mdp = sparse_ht(seed, alpha_max)
+        cert = check_ht(mdp, 0)
+        solution = extract_average_solution(howard_pi(build_hvag(mdp, cert)).values, cert)
+        acoe, runs = recorded_cross_check(monkeypatch, mdp, solution, 1e-9)
+        assert [report.iterations for _, report in runs] == [1]
+        bare = verify_acoe(mdp, solution, 1e-9, cross_check=False)
+        assert acoe.max_residual == bare.max_residual
+        assert np.array_equal(acoe.residuals, bare.residuals)
+        assert acoe.optimal_actions == bare.optimal_actions
+
+    def test_the_rerun_starts_at_the_lowest_index_optimal_action(self, monkeypatch):
+        # (w, h) = (4/3, (0, 4/3)) is exact.  Actions 1 and 2 at state 1 lie
+        # within tol; 1 costs more, so Howard goes on from it to 2
+        mdp = tie_at_state_1(3.0, 2.0 + 5e-4, 2.0)
+        solution = AverageSolution(w=4.0 / 3.0, h=[0.0, 4.0 / 3.0], ell=0)
+        acoe, runs = recorded_cross_check(monkeypatch, mdp, solution, 1e-3)
+        assert acoe.optimal_actions == ((0,), (1, 2))
+        [(start, report)] = runs
+        assert tuple(start) == (0, 1, 0)
+        assert report.iterations == 2
+        assert tuple(report.policy) == (0, 2, 0)
+        cold = howard_pi(build_hvag(mdp, check_ht(mdp, 0)))
+        assert np.array_equal(report.values, cold.values)
+
+    def test_disagreeing_sets_raise(self):
+        # w and h(1) both low by 6e-4: the residual stays within tol = 1e-3,
+        # but action 1 at state 1 (ACOE gap 5e-4 at the exact solution)
+        # moves to 1.4e-3 and leaves the ACOE set, not the reduction's
+        mdp = tie_at_state_1(2.0, 2.0 + 5e-4)
+        low = 4.0 / 3.0 - 6e-4
+        solution = AverageSolution(w=low, h=[0.0, low], ell=0)
+        bare = verify_acoe(mdp, solution, tol=1e-3, cross_check=False)
+        assert bare.max_residual <= 1e-3
+        assert bare.optimal_actions == ((0,), (0,))
+        with pytest.raises(AssertionError, match=r"\[\(0,\), \(0,\)\] vs \[\(0,\), \(0, 1\)\]"):
+            verify_acoe(mdp, solution, tol=1e-3)
+
+    @pytest.mark.parametrize("delta", [0.5e-9, 1.5e-9, 2.5e-9])
+    def test_the_sets_are_compared_at_the_acoe_scale(self, delta):
+        # the discounted gap of action 1 at state 1 is delta / mu(1) =
+        # delta / 2; compared unscaled, 1.5e-9 put it in the reduction's set
+        # only, and a valid instance raised
+        result = solve_average_cost(tie_at_state_1(2.0, 2.0 + delta), 0)
+        assert result.certificate.mu.tolist() == [3.0, 2.0]
+        expected = ((0,), (0, 1)) if delta < 1e-9 else ((0,), (0,))
+        assert result.acoe.optimal_actions == expected
 
 
 class TestLemma2Identity:
