@@ -73,8 +73,8 @@ LIFETIME_RTOL = 1e-13
 _BREAKDOWN_TOL = np.finfo(float).eps ** 2
 
 
-def factorize(a: np.ndarray):
-    """LU-factorize ``a``; return ``None`` when numerically singular."""
+def try_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """Solve ``a x = b`` with one LU; return ``None`` when ``a`` is singular."""
     a = np.asarray(a, dtype=float)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
@@ -82,13 +82,7 @@ def factorize(a: np.ndarray):
     scale = max(float(np.abs(a).sum(axis=1).max()), 1.0)
     if float(np.abs(np.diag(lu)).min()) <= PIVOT_RTOL * scale:
         return None
-    return lu, piv
-
-
-def try_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve ``a x = b`` with one LU; return ``None`` when ``a`` is singular."""
-    fac = factorize(a)
-    return None if fac is None else lu_solve(fac, np.asarray(b, dtype=float), check_finite=False)
+    return lu_solve((lu, piv), np.asarray(b, dtype=float), check_finite=False)
 
 
 def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
@@ -99,19 +93,17 @@ def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
     return x
 
 
-def solve_policy(P, b: np.ndarray, beta: float = 1.0, context: str | None = None):
+def solve_policy(P, b: np.ndarray, beta: float = 1.0):
     """Solve (I - beta P) x = b, ``P`` the n x n sparse rows of a policy.  A
     large system with one right-hand side goes to :func:`_krylov` first;
     otherwise, or when that finds no bounded answer, one LU of the dense
-    matrix.  When that is singular, return None like :func:`try_solve`, or
-    raise like :func:`solve` if ``context`` is given."""
+    matrix, by :func:`try_solve`: None when that is singular."""
     n = P.shape[0]
     if n > DENSE_MAX_N and np.ndim(b) == 1:
         x = _krylov(P, b, beta)
         if x is not None:
             return x
-    a = np.eye(n) - beta * P.toarray()
-    return try_solve(a, b) if context is None else solve(a, b, context)
+    return try_solve(np.eye(n) - beta * P.toarray(), b)
 
 
 def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:

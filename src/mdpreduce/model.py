@@ -36,7 +36,7 @@ from operator import itemgetter
 import numpy as np
 from scipy import sparse
 
-from .errors import InstanceFormatError, PolicyCapExceeded
+from .errors import InstanceFormatError, NotConvergedWithinBudget, PolicyCapExceeded
 
 #: Absolute row-sum tolerance for stochasticity classification.  Inputs are
 #: textual decimals; anything tighter would misclassify round-tripped files.
@@ -251,6 +251,30 @@ class PackedMdp:
         if data is not None:
             R = sparse.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
         return _row_sums_in_order(R)
+
+
+def _policy_iteration(table: PackedMdp, phi0, evaluate, improve, cap: int, stalled):
+    """Policy iteration on packed rows, from ``phi0`` or action 0 everywhere:
+    ``v = evaluate(rows)``, ``rows = improve(v, rows)`` until ``improve``
+    returns None or ``evaluate`` a verdict, not an array.  Returns ``(v,
+    rows, steps)``, ``steps`` the evaluations made.  Switch ``cap + 1``
+    raises NotConvergedWithinBudget(``stalled()``), built only then."""
+    rows = table.first[:-1] if phi0 is None else table.rows(phi0)
+    for steps in range(1, cap + 2):
+        v = evaluate(rows)
+        new = improve(v, rows) if isinstance(v, np.ndarray) else None
+        if new is None:
+            return v, rows, steps
+        rows = new
+    raise NotConvergedWithinBudget(stalled())
+
+
+def _check_budget(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless ``tol`` is finite and > 0 and ``max_iter`` >= 1."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
 
 
 def _sum_in_order(values) -> float:

@@ -9,15 +9,10 @@ policy-iteration algorithms *are* its simplex methods, so no general LP
 solver is embedded.
 
 Tie-breaking is deterministic everywhere: prefer the incumbent action,
-then the lowest index.
-
-Inside the solvers a policy is the int array of its packed rows (one row
-of ``PackedMdp`` per state), so a round updates it with one ``np.where``
-and evaluates ``R[rows]``, ``c[rows]``.  At the public boundary policies
-stay StationaryPolicy objects: ``phi0`` and the argument of
-:func:`policy_evaluate` are checked through ``PackedMdp.rows``, and the
-SolveReport's policy is built once, next to its tuple-of-tuples
-optimal-action sets.
+then the lowest index.  Howard and Dantzig share one loop with the
+lifetime checker, ``model._policy_iteration``: evaluate the policy,
+carried as the int array of its packed rows, then improve it, until no
+row switches.  Each solver gives only those two steps.
 """
 
 from __future__ import annotations
@@ -30,9 +25,9 @@ import numpy as np
 from scipy import sparse
 
 from . import _linalg
-from .errors import NotConvergedWithinBudget
+from .errors import NotConvergedWithinBudget, SingularSystemError
 from .hv import DiscountedMdp
-from .model import PackedMdp, StationaryPolicy
+from .model import StationaryPolicy, _check_budget, _policy_iteration
 
 #: Strict-improvement threshold for policy iteration; avoids cycling under
 #: floating-point ties.
@@ -88,9 +83,10 @@ def _evaluate(dmdp: DiscountedMdp, rows: np.ndarray) -> np.ndarray:
     c = table.c[rows]
     if dmdp.beta == 0.0:
         return c
-    return _linalg.solve_policy(
-        table.R[rows], c, dmdp.beta, context="discounted policy evaluation"
-    )
+    v = _linalg.solve_policy(table.R[rows], c, dmdp.beta)
+    if v is None:
+        raise SingularSystemError("singular linear system: discounted policy evaluation")
+    return v
 
 
 def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
@@ -135,12 +131,6 @@ def _finish(dmdp, table, v, rows, iterations, method, started):
     )
 
 
-def _start(table: PackedMdp, phi0: StationaryPolicy | None) -> np.ndarray:
-    """The packed rows of ``phi0``, by default of action 0 everywhere, in a
-    fresh array: Dantzig's rule switches its entries in place."""
-    return table.first[:-1].copy() if phi0 is None else table.rows(phi0)
-
-
 def value_iteration(
     dmdp: DiscountedMdp,
     tol: float = 1e-10,
@@ -153,12 +143,16 @@ def value_iteration(
     exact.  Successive increments must shrink by a factor of beta
     (contraction), which is checked each iteration, up to round-off of
     1e-15 max(1, |v|).  Only the last sweep takes the greedy actions, from
-    the same q as its minimum.
+    the same q as its minimum.  A bad ``tol``, ``max_iter`` or ``v0`` raises
+    ValueError.
     """
     started = time.perf_counter()
+    _check_budget(tol, max_iter)
     beta = dmdp.beta
     table = dmdp.base.packed
     v = np.zeros(dmdp.n_states) if v0 is None else np.asarray(v0, dtype=float)
+    if v.shape != (dmdp.n_states,) or not np.all(np.isfinite(v)):
+        raise ValueError(f"v0 must be a finite vector of {dmdp.n_states} values")
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     previous_delta = None
     for iteration in range(1, max_iter + 1):
@@ -185,8 +179,7 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     """Howard policy iteration: evaluate, then switch every state to its
     greedy action (ties to the incumbent, then the lowest index); stop when
     no state improves by more than 1e-12.  Values are nonincreasing
-    entrywise across rounds, which is checked.  The policy is carried as
-    its packed rows from round to round.
+    entrywise across rounds, which is checked.
 
     Hansen, Miltersen and Zwick (J. ACM 60(1), 2013) bound the rounds by
     O(m K log(n K)), K = 1/(1 - beta); past 100 + 10 m K log(n K)
@@ -196,27 +189,25 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
-    rows = _start(table, phi0)
-    v = _evaluate(dmdp, rows)
     K = 1.0 / (1.0 - beta)
-    cap = 100 + math.ceil(10 * len(table.c) * K * math.log(len(rows) * K))
-    iterations = 0
-    while True:
-        iterations += 1
+    cap = 100 + math.ceil(10 * len(table.c) * K * math.log(dmdp.n_states * K))
+    last = None
+
+    def improve(v, rows):
+        nonlocal last
+        if last is not None and not np.all(v <= last + 1e-9):
+            raise RuntimeError("policy iteration must not increase values")
+        last = v
         q = table.c + beta * (table.R @ v)
         low, best = table.state_argmin(q)
         switch = low < q[rows] - IMPROVE_TOL
-        if not switch.any():
-            return _finish(dmdp, table, v, rows, iterations, "howard-pi", started)
-        if iterations > cap:
-            raise NotConvergedWithinBudget(
-                f"Howard policy iteration exceeded {cap} rounds (improvement cycle?)"
-            )
-        rows = np.where(switch, table.first[:-1] + best, rows)
-        v_next = _evaluate(dmdp, rows)
-        if not np.all(v_next <= v + 1e-9):
-            raise RuntimeError("policy iteration must not increase values")
-        v = v_next
+        return np.where(switch, table.first[:-1] + best, rows) if switch.any() else None
+
+    v, rows, rounds = _policy_iteration(
+        table, phi0, lambda rows: _evaluate(dmdp, rows), improve, cap,
+        lambda: f"Howard policy iteration exceeded {cap} rounds (improvement cycle?)",
+    )
+    return _finish(dmdp, table, v, rows, rounds, "howard-pi", started)
 
 
 def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> SolveReport:
@@ -224,28 +215,27 @@ def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Sol
     single state-action pair with the most negative reduced cost
     c(x,a) + beta sum p(y|x,a) v(y) - v(x) (ties: lowest state, then lowest
     action); stop when all reduced costs are >= -1e-12.  The iteration
-    count is the number of switches, at most 10,000 + 100 m^2.  The policy
-    is carried as its packed rows from round to round.
+    count is the number of switches, at most 10,000 + 100 m^2.
     """
     started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
-    rows = _start(table, phi0)
-    v = _evaluate(dmdp, rows)
-    switches = 0
     cap = 10_000 + 100 * len(table.c) ** 2
-    while True:
+
+    def improve(v, rows):
         reduced = table.c + beta * (table.R @ v) - v[table.owner]
         row = int(np.argmin(reduced))
         if not reduced[row] < -IMPROVE_TOL:
-            return _finish(dmdp, table, v, rows, switches, "dantzig-pi", started)
-        switches += 1
-        if switches > cap:
-            raise NotConvergedWithinBudget(
-                f"Dantzig policy iteration exceeded {cap} switches (degeneracy cycle?)"
-            )
+            return None
+        rows = rows.copy()  # the default start is a view of table.first
         rows[table.owner[row]] = row
-        v = _evaluate(dmdp, rows)
+        return rows
+
+    v, rows, steps = _policy_iteration(
+        table, phi0, lambda rows: _evaluate(dmdp, rows), improve, cap,
+        lambda: f"Dantzig policy iteration exceeded {cap} switches (degeneracy cycle?)",
+    )
+    return _finish(dmdp, table, v, rows, steps - 1, "dantzig-pi", started)
 
 
 METHODS = {

@@ -15,10 +15,9 @@ The same machinery run on a truncated instance (all rates into one state
 ``ell`` removed) checks the bounded-hitting-time condition used by the
 average-cost reduction.
 
-The policy iteration carries its policy as the int array of its packed
-rows; a StationaryPolicy is built only for a NonTransienceWitness.  At
-the public boundary policies stay StationaryPolicy objects:
-:func:`evaluate_lifetime` checks its argument through ``PackedMdp.rows``.
+The policy iteration is ``model._policy_iteration``, the loop of the
+discounted solvers: Howard's method with cost -1 and beta = 1, whose
+evaluation may return a witness and whose improvement test is relative.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ import numpy as np
 from . import _linalg
 from .errors import NotConvergedWithinBudget
 from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed
+from .model import _check_budget, _policy_iteration
 
 #: Slack allowed when re-checking certificate inequalities.  Above
 #: K = CERT_SLACK / CLAMP_TOL the slack is CLAMP_TOL * K instead, since the
@@ -178,34 +178,27 @@ def _greedy_lifetime_improvement(table: PackedMdp, rows: np.ndarray, tau):
     """One round of greedy improvement on 1 + sum q(y|x,a) tau(y), on the
     packed rows of a policy: a state moves to its first maximizing action
     when that beats tau(x) by more than 1e-12 tau(x), and otherwise keeps
-    its row.  Returns the new rows and whether any changed.  The test is
+    its row.  Returns the new rows, or None when none changed.  The test is
     relative because the round-off in 1 + R tau grows with tau: at K = 1e6
     it is a few ulps of 1e6, about 1e-9, which no absolute 1e-12 can
     absorb."""
     low, best = table.state_argmin(-(1.0 + table.R @ tau))
     better = np.where(-low > tau * (1.0 + IMPROVE_TOL), table.first[:-1] + best, rows)
-    return better, bool(np.any(better != rows))
+    return better if np.any(better != rows) else None
 
 
 def _maximize_lifetime(table: PackedMdp):
-    # each improving round moves to a new policy, so there are at most as
-    # many rounds as policies; the policy is carried as its packed rows
+    # each switch moves to a new policy, so there are fewer switches than policies
     rounds = math.prod(np.diff(table.first).tolist())
-    rows = table.first[:-1]
-    for _ in range(rounds):
-        result = _evaluate(table, rows)
-        if isinstance(result, NonTransienceWitness):
-            return result
-        tau = result
-        rows, improved = _greedy_lifetime_improvement(table, rows, tau)
-        if not improved:
-            return TransienceCertificate(
-                mu=tau, K=float(tau.max()), method="exact-policy-iteration"
-            )
-    raise NotConvergedWithinBudget(
-        f"lifetime policy iteration still improving after {rounds} rounds, "
-        f"as many as there are policies"
+    tau, _, _ = _policy_iteration(
+        table, None, lambda rows: _evaluate(table, rows),
+        lambda tau, rows: _greedy_lifetime_improvement(table, rows, tau), rounds - 1,
+        lambda: f"lifetime policy iteration still improving after {rounds} rounds, "
+        "as many as there are policies",
     )
+    if isinstance(tau, NonTransienceWitness):
+        return tau
+    return TransienceCertificate(mu=tau, K=float(tau.max()), method="exact-policy-iteration")
 
 
 def maximize_lifetime(mdp: RateMdp):
@@ -230,8 +223,9 @@ def mu_value_iteration(
     Stops when the sup-norm increment drops below ``tol``; raises
     NotConvergedWithinBudget when the budget runs out first, which signals
     possible non-transience (run :func:`maximize_lifetime` to get an exact
-    verdict either way).
+    verdict either way).  A bad ``tol`` or ``max_iter`` raises ValueError.
     """
+    _check_budget(tol, max_iter)
     table = mdp.packed
     u = np.zeros(mdp.n_states)
     delta = np.inf

@@ -131,6 +131,14 @@ class TestSolveTotal:
         assert code == 0
         assert float(grab(out, "oracle_max_deviation")) <= 1e-8
 
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_vi_tolerance(self, capsys, geometric_file, tol):
+        code, out, err = run(
+            capsys, "solve-total", geometric_file, "--method", "vi", "--tol", tol
+        )
+        assert code == 1 and out == ""
+        assert err == f"error: tol must be finite and positive, got {float(tol)!r}\n"
+
     def test_inadmissible_beta(self, capsys, geometric_file):
         code, _, err = run(capsys, "solve-total", geometric_file, "--beta", "0.3")
         assert code == 1

@@ -14,6 +14,7 @@ from mdpreduce import (
     DiscountedMdp,
     GenSpec,
     NotConvergedWithinBudget,
+    SingularSystemError,
     StationaryPolicy,
     Stochastic,
     Substochastic,
@@ -81,6 +82,14 @@ class TestPolicyEvaluate:
         v = policy_evaluate(geometric_hv, StationaryPolicy((0, 0)))
         assert v == pytest.approx([1.0, 0.0], abs=1e-12)
 
+    def test_a_singular_system_raises(self, geometric):
+        # the sink's pivot 1 - beta = 1e-13 falls below the 1e-12 pivot floor
+        dmdp = build_hv(geometric, maximize_lifetime(geometric), beta=1.0 - 1e-13)
+        message = "^singular linear system: discounted policy evaluation$"
+        for run in (howard_pi, dantzig_pi, lambda d: policy_evaluate(d, StationaryPolicy((0, 0)))):
+            with pytest.raises(SingularSystemError, match=message):
+                run(dmdp)
+
 
 class TestValueIteration:
     def test_zero_discount_one_iteration(self):
@@ -116,6 +125,25 @@ class TestValueIteration:
             for x, acts in enumerate(report.optimal_actions):
                 assert report.policy[x] in acts
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"tol": -1.0}, "tol must be finite and positive"),
+            ({"tol": math.nan}, "tol must be finite and positive"),
+            ({"tol": math.inf}, "tol must be finite and positive"),
+            ({"v0": [math.nan, 0.0]}, "v0 must be a finite vector of 2 values"),
+            ({"v0": [0.0, 0.0, 0.0]}, "v0 must be a finite vector of 2 values"),
+        ],
+    )
+    def test_bad_inputs_raise_before_a_sweep(self, monkeypatch, geometric_hv, kwargs, message):
+        sweeps = []
+        table = type(geometric_hv.base.packed)
+        monkeypatch.setattr(table, "state_min", lambda self, q: sweeps.append(q))
+        with pytest.raises(ValueError, match=message):
+            value_iteration(geometric_hv, **kwargs)
+        assert sweeps == []
+
 
 class TestHowardPi:
     def test_single_policy_one_iteration(self, geometric_hv):
@@ -144,7 +172,8 @@ class TestHowardPi:
             assert report.bellman_residual <= 1e-10
 
     def test_a_cycling_improvement_stops_at_the_round_cap(self, monkeypatch):
-        # with a negative threshold every state "improves" in every round
+        # with a negative threshold every round "improves"; Dantzig's rule
+        # has its own cap, on switches
         dmdp = hv_instance(0, n=4, max_actions=2)
         evaluations = []
         evaluate = mdpreduce.solve._evaluate
@@ -156,11 +185,16 @@ class TestHowardPi:
         monkeypatch.setattr(mdpreduce.solve, "IMPROVE_TOL", -1.0)
         monkeypatch.setattr(mdpreduce.solve, "_evaluate", counted)
         m, n, K = len(dmdp.base.packed.c), dmdp.n_states, 1.0 / (1.0 - dmdp.beta)
-        cap = 100 + math.ceil(10 * m * K * math.log(n * K))
-        with pytest.raises(NotConvergedWithinBudget, match=f"exceeded {cap} rounds"):
-            howard_pi(dmdp)
-        # the first policy, then one per round switched
-        assert len(evaluations) == cap + 1
+        howard_cap = 100 + math.ceil(10 * m * K * math.log(n * K))
+        for solver, cap, unit in [
+            (howard_pi, howard_cap, "rounds"),
+            (dantzig_pi, 10_000 + 100 * m**2, "switches"),
+        ]:
+            evaluations.clear()
+            with pytest.raises(NotConvergedWithinBudget, match=f"exceeded {cap} {unit}"):
+                solver(dmdp)
+            # the first policy, then one per round switched
+            assert len(evaluations) == cap + 1
 
 
 class TestDantzigPi:

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -113,14 +114,21 @@ class TestMaximizeLifetime:
         seen = []
 
         def flip(table, rows, tau):
-            # the one state's actions are rows 0 and 1
+            # the one state's actions are rows 0 and 1; never None, so
+            # every round switches
             seen.append(int(rows[0]))
-            return 1 - rows, True
+            return 1 - rows
 
         monkeypatch.setattr(transience, "_greedy_lifetime_improvement", flip)
         with pytest.raises(NotConvergedWithinBudget, match="after 2 rounds"):
             maximize_lifetime(mdp)
         assert seen == [0, 1]
+
+    def test_more_policies_than_str_can_print(self, mk):
+        # 10 ** 4301 policies: the round cap's message must not be built
+        # unless it is raised, since str() stops at 4300 digits
+        cert = maximize_lifetime(mk([[(1.0, [])] * 10] * 4301))
+        assert cert.K == 1.0 and cert.mu.shape == (4301,)
 
     def test_stochastic_cycle_is_not_transient(self, two_cycle):
         witness = maximize_lifetime(two_cycle)
@@ -211,6 +219,20 @@ class TestMuValueIteration:
         cert = vi_certificate(mdp, tol=1e-10)
         assert cert.method.startswith("value-iteration")
         assert certificate_residual(mdp, cert.mu) <= 1e-9
+
+    @pytest.mark.parametrize("function", [mu_value_iteration, vi_certificate])
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_iter": 0}, "max_iter must be at least 1"),
+            ({"tol": -1.0}, "tol must be finite and positive"),
+            ({"tol": math.nan}, "tol must be finite and positive"),
+            ({"tol": math.inf}, "tol must be finite and positive"),
+        ],
+    )
+    def test_a_bad_budget_raises(self, geometric, function, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            function(geometric, **kwargs)
 
 
 class TestTruncateAtState:
