@@ -26,7 +26,9 @@ system falls back to dense LU:
   transient".
 
 Everything else, and every system with at most ``DENSE_MAX_N`` states, goes
-through dense LU with partial pivoting and keeps the LU's bits.
+through dense LU with partial pivoting: the matrix gathered straight from
+the packed rows (``PackedMdp.dense_rows``), then LAPACK's ``dgetrf`` and
+``dgetrs``, which scipy's LU functions wrap, called directly for their bits.
 ``solve.occupation_measure`` factorizes its transposed system
 z (I - beta P) = 1 itself: its right-hand side 1 is a left eigenvector of
 I - beta P^T, and BiCGSTAB, whose shadow residual is that right-hand side,
@@ -40,10 +42,9 @@ singularity decisions reproducible across platforms.
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import SingularSystemError
 
@@ -51,9 +52,9 @@ PIVOT_RTOL = 1e-12
 
 #: Policy systems with more states than this go to BiCGSTAB first.  One
 #: discounted evaluation of a total-dense policy (2-core x86-64 VM, BLAS on
-#: one thread, median of 200): at n = 129 LU took 0.33 ms and the BiCGSTAB
-#: loop 0.63 ms; at n = 301 LU took 2.0 ms and the loop 1.2 ms.  The
-#: pinned runs and golden digests depend on which path each size takes.
+#: one thread, median of 200): the dense gather and LU took 0.26 ms at n = 129
+#: and 2.3 ms at n = 301, the BiCGSTAB loop 0.46 and 0.95 ms.  The pinned
+#: runs and golden digests depend on which path each size takes.
 DENSE_MAX_N = 256
 
 #: BiCGSTAB gives up after this many iterations and leaves the system to LU.
@@ -74,15 +75,13 @@ _BREAKDOWN_TOL = np.finfo(float).eps ** 2
 
 
 def try_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
-    """Solve ``a x = b`` with one LU; return ``None`` when ``a`` is singular."""
+    """Solve ``a x = b`` with one raw LAPACK LU; ``None`` when ``a`` is singular."""
     a = np.asarray(a, dtype=float)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # LAPACK warns on exact zero pivots
-        lu, piv = lu_factor(a, check_finite=False)
+    lu, piv, _ = dgetrf(a)
     scale = max(float(np.abs(a).sum(axis=1).max()), 1.0)
     if float(np.abs(np.diag(lu)).min()) <= PIVOT_RTOL * scale:
         return None
-    return lu_solve((lu, piv), np.asarray(b, dtype=float), check_finite=False)
+    return dgetrs(lu, piv, np.asarray(b, dtype=float))[0]
 
 
 def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
@@ -93,17 +92,18 @@ def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
     return x
 
 
-def solve_policy(P, b: np.ndarray, beta: float = 1.0):
-    """Solve (I - beta P) x = b, ``P`` the n x n sparse rows of a policy.  A
-    large system with one right-hand side goes to :func:`_krylov` first;
-    otherwise, or when that finds no bounded answer, one LU of the dense
-    matrix, by :func:`try_solve`: None when that is singular."""
-    n = P.shape[0]
+def solve_policy(table, rows: np.ndarray, b: np.ndarray, beta: float = 1.0):
+    """Solve (I - beta P) x = b, ``P`` the rows ``rows`` of the packed
+    ``table``, one per state.  A large system with one right-hand side goes
+    to :func:`_krylov` on the sparse ``table.R[rows]`` first; otherwise, or
+    when that finds no bounded answer, one LU of the dense matrix built by
+    ``table.dense_rows``, by :func:`try_solve`: None when it is singular."""
+    n = len(rows)
     if n > DENSE_MAX_N and np.ndim(b) == 1:
-        x = _krylov(P, b, beta)
+        x = _krylov(table.R[rows], b, beta)
         if x is not None:
             return x
-    return try_solve(np.eye(n) - beta * P.toarray(), b)
+    return try_solve(np.eye(n) - beta * table.dense_rows(rows), b)
 
 
 def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:

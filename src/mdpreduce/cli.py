@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: check, solve-total, solve-average, transform, emit-lp, gen.
-Exit codes are a stable contract: 0 = success, 1 = usage or input error,
+Exit codes are a stable contract: 0 = success, 1 = usage or input error
+or a numerical failure (a singular system, an exhausted iteration budget),
 2 = assumption failure (the offending policy witness is printed).
 
 Output is machine-parseable ``key: value`` text; all numbers are printed
@@ -17,7 +18,8 @@ import sys
 
 import numpy as np
 
-from .errors import InstanceFormatError
+from .errors import InstanceFormatError, NonTransientPolicyError
+from .errors import NotConvergedWithinBudget, SingularSystemError
 from .generate import GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import build_hv, dumps_discounted
 from .hvag import build_hvag
@@ -292,7 +294,8 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SingularSystemError, NotConvergedWithinBudget,
+            NonTransientPolicyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

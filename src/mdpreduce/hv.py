@@ -177,7 +177,7 @@ def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
     moved = mu[R.indices]
     moved *= R.data
     if beta and ell is not None:
-        surplus = mu_x - 1.0 - table.row_sums(moved)
+        surplus = mu_x - 1.0 - table.R @ mu  # csr_matvec sums mu * q in order
     moved /= np.repeat(denom, lengths)
     if not beta:
         tails = [(n, np.ones(m))]

@@ -230,6 +230,17 @@ class PackedMdp:
         rows = self.rows(phi)
         return self.R[rows], self.c[rows]
 
+    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The rows ``rows`` of ``R`` written into zeros by one fancy-index
+        assignment: no arithmetic, so the values of ``R[rows]`` made dense."""
+        R = self.R
+        starts, lengths = R.indptr[rows], np.diff(R.indptr)[rows]
+        at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        dense = np.zeros((len(rows), R.shape[1]))
+        flat = np.repeat(np.arange(0, dense.size, R.shape[1]), lengths) + R.indices[at]
+        dense.ravel()[flat] = R.data[at]
+        return dense
+
     def without_column(self, ell: int) -> PackedMdp:
         """The same table with every rate into state ``ell`` removed: the
         table itself when it has none, as when it is truncated already."""

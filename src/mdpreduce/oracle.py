@@ -58,10 +58,12 @@ def brute_force_total(mdp: RateMdp) -> OracleResult:
     the test is therefore a hard error, not a witness.
     """
     _check_caps(mdp)
+    table = mdp.packed
     per_policy: dict[StationaryPolicy, np.ndarray] = {}
     for phi in enumerate_policies(mdp):
-        P, c = mdp.packed.policy(phi)
-        solved = _linalg.solve_policy(P, np.column_stack((np.ones_like(c), c)))
+        rows = table.rows(phi)
+        b = np.column_stack((np.ones(len(rows)), table.c[rows]))
+        solved = _linalg.solve_policy(table, rows, b)
         if solved is None or not np.all(solved[:, 0] > 0.0):
             raise NonTransientPolicyError(
                 f"policy {tuple(phi)} is not transient although transience "
@@ -90,7 +92,8 @@ def stationary_distribution(mdp: RateMdp, phi: StationaryPolicy) -> np.ndarray:
     unichain, i.e. a bounded-hitting-time certificate was violated.
     """
     n = mdp.n_states
-    A = (np.eye(n) - mdp.packed.policy(phi)[0].toarray()).T
+    table = mdp.packed
+    A = (np.eye(n) - table.dense_rows(table.rows(phi))).T
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0

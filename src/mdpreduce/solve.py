@@ -83,7 +83,7 @@ def _evaluate(dmdp: DiscountedMdp, rows: np.ndarray) -> np.ndarray:
     c = table.c[rows]
     if dmdp.beta == 0.0:
         return c
-    v = _linalg.solve_policy(table.R[rows], c, dmdp.beta)
+    v = _linalg.solve_policy(table, rows, c, dmdp.beta)
     if v is None:
         raise SingularSystemError("singular linear system: discounted policy evaluation")
     return v
@@ -264,11 +264,11 @@ def occupation_measure(dmdp: DiscountedMdp, phi: StationaryPolicy) -> Occupation
     Its objective equals the summed policy values sum_x v_phi(x).
     """
     table = dmdp.base.packed
-    P, _ = table.policy(phi)
+    rows = table.rows(phi)
     z = np.zeros(len(table.c))
     # dense LU at every size: BiCGSTAB breaks down on this system (see _linalg)
-    a = np.eye(dmdp.n_states) - dmdp.beta * P.T.toarray()
-    z[table.rows(phi)] = _linalg.solve(a, np.ones(dmdp.n_states), "occupation measure")
+    a = np.eye(dmdp.n_states) - dmdp.beta * table.dense_rows(rows).T
+    z[rows] = _linalg.solve(a, np.ones(dmdp.n_states), "occupation measure")
     return OccupationMeasure(z=z)
 
 

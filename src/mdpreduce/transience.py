@@ -120,7 +120,8 @@ class MuIterationResult:
 
 def policy_spectral_radius(mdp: RateMdp, phi: StationaryPolicy) -> float:
     """Spectral radius of Q_phi; used to re-check a NonTransienceWitness."""
-    return float(np.abs(np.linalg.eigvals(mdp.packed.policy(phi)[0].toarray())).max())
+    table = mdp.packed
+    return float(np.abs(np.linalg.eigvals(table.dense_rows(table.rows(phi)))).max())
 
 
 def certificate_residual(
@@ -131,15 +132,17 @@ def certificate_residual(
     Positive values are violations.  With ``exclude`` set, transitions into
     that state are left out of the sum (the truncated inequality).
     """
-    table = mdp.packed if exclude is None else mdp.packed.without_column(exclude)
+    table = mdp.packed
     mu = np.asarray(mu, dtype=float)
-    return float(np.max(1.0 + table.R @ mu - mu[table.owner]))
+    # a product with +0.0 leaves the in-order row sums as without the column
+    x = mu if exclude is None else np.where(np.arange(len(mu)) == exclude, 0.0, mu)
+    return float(np.max(1.0 + table.R @ x - mu[table.owner]))
 
 
 def _evaluate(table: PackedMdp, rows: np.ndarray):
     """Lifetime of the policy whose packed rows are ``rows``, or its
     witness, the only StationaryPolicy built here."""
-    tau = _linalg.solve_policy(table.R[rows], np.ones(len(rows)))
+    tau = _linalg.solve_policy(table, rows, np.ones(len(rows)))
     if tau is None:
         evidence = SingularSystem()
     else:

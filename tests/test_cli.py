@@ -3,6 +3,7 @@ import pytest
 from mdpreduce import dump_instance, load_instance, loads_discounted, validate
 from mdpreduce import cli
 from mdpreduce.cli import main
+from mdpreduce.errors import NonTransientPolicyError, NotConvergedWithinBudget, SingularSystemError
 from conftest import build_mdp
 
 
@@ -308,3 +309,25 @@ class TestGen:
             capsys, "transform", geometric_file, "--kind", "hv", "--state", "0"
         )
         assert code == 1 and "--state" in err
+
+
+class TestNumericalFailures:
+    def test_singular_policy_system_exits_one(self, capsys, tmp_path):
+        # the sink's pivot 1 - beta falls below the LU's pivot floor
+        path = str(tmp_path / "t5.json")
+        run(capsys, "gen", "--kind", "transient", "--states", "5",
+            "--max-actions", "2", "--seed", "3", "-o", path)
+        code, out, err = run(capsys, "solve-total", path, "--beta", "0.9999999999999")
+        assert (code, out) == (1, "")
+        assert err == "error: singular linear system: discounted policy evaluation\n"
+
+    @pytest.mark.parametrize(
+        "error", [SingularSystemError, NotConvergedWithinBudget, NonTransientPolicyError]
+    )
+    def test_each_numerical_error_exits_one(self, capsys, monkeypatch, geometric_file, error):
+        def fail(*args, **kwargs):
+            raise error("numbers went wrong")
+
+        monkeypatch.setattr(cli, "solve_total_cost", fail)
+        code, out, err = run(capsys, "solve-total", geometric_file)
+        assert (code, out, err) == (1, "", "error: numbers went wrong\n")

@@ -1,7 +1,11 @@
-"""``_linalg._bicgstab`` against scipy's ``bicgstab``, bit for bit."""
+"""``_linalg._bicgstab`` against scipy's ``bicgstab`` and ``_linalg.try_solve``
+against scipy's ``lu_factor`` and ``lu_solve``, bit for bit."""
+
+import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from mdpreduce import (
@@ -126,3 +130,70 @@ class TestBicgstabParity:
         x = _linalg._bicgstab(lambda v: 2.0 * v, b)
         expected, info = scipy_answer(lambda v: 2.0 * v, b)
         assert info == 0 and x is not b and x.tobytes() == expected.tobytes()
+
+
+def lu_reference(a, b):
+    """``try_solve`` as it was on scipy's ``lu_factor`` and ``lu_solve``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # lu_factor warns on exact zero pivots
+        lu, piv = lu_factor(a, check_finite=False)
+    scale = max(float(np.abs(a).sum(axis=1).max()), 1.0)
+    if float(np.abs(np.diag(lu)).min()) <= _linalg.PIVOT_RTOL * scale:
+        return None
+    return lu_solve((lu, piv), b, check_finite=False)
+
+
+def dense_systems():
+    """Seeded dense systems: discounted and lifetime policy systems of
+    generated instances, and general matrices."""
+    rng = np.random.default_rng(7)
+    for seed, n in enumerate((3, 6, 15, 31, 64)):
+        spec = dict(seed=seed, n_states=n, max_actions=3, density=0.6)
+        mdp = gen_transient(GenSpec(rate_class=Substochastic((0.2, 0.4)), **spec))
+        dmdp = build_hv(mdp, maximize_lifetime(mdp))
+        for table, beta in ((mdp.packed, 1.0), (dmdp.base.packed, dmdp.beta)):
+            for _ in range(5):
+                counts = np.diff(table.first)
+                rows = table.first[:-1] + rng.integers(counts)
+                yield np.eye(len(rows)) - beta * table.R[rows].toarray()
+    for n in range(1, 11):
+        yield rng.standard_normal((n, n))
+
+
+class TestRawLapackParity:
+    def test_same_bytes_as_the_scipy_wrappers(self):
+        rng = np.random.default_rng(3)
+        count = 0
+        for a in dense_systems():
+            n = len(a)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 1)),
+                      rng.standard_normal((n, 2))):
+                expected, got = lu_reference(a, b), _linalg.try_solve(a, b)
+                assert expected is not None and got is not None
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+            count += 1
+        assert count >= 50
+
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1 - 1e-9, 1.0, 1 + 1e-9, 2.0])
+    def test_singular_exactly_where_the_wrappers_were(self, scale):
+        # a last pivot of scale times the floor: exactly on the diagonal one;
+        # the other swaps its rows and reaches it by elimination, to within
+        # round-off (its row-norm scale is 1.5, its pivot d / 2)
+        floor, b = _linalg.PIVOT_RTOL, np.ones(2)
+        d = 3.0 * scale * floor
+        for a, exact in ((np.diag([1.0, scale * floor]), True),
+                         (np.array([[0.5, 0.25], [1.0, 0.5 + d]]), False)):
+            expected, got = lu_reference(a, b), _linalg.try_solve(a, b)
+            assert (got is None) == (expected is None)
+            if exact or abs(scale - 1.0) > 1e-3:
+                assert (got is None) == (scale <= 1.0)
+            if got is not None:
+                assert got.tobytes() == expected.tobytes()
+
+    def test_no_warning_on_an_exactly_singular_matrix(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a in (np.zeros((3, 3)), np.ones((2, 2))):
+                assert _linalg.try_solve(a, np.ones(len(a))) is None
+                assert lu_reference(a, np.ones(len(a))) is None

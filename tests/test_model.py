@@ -9,20 +9,29 @@ from scipy import sparse
 
 from mdpreduce import (
     ActionData,
+    GenSpec,
     InstanceFormatError,
     PackedMdp,
     PolicyCapExceeded,
     RateClass,
     RateMdp,
     StationaryPolicy,
+    Stochastic,
+    Substochastic,
+    build_hv,
+    build_hvag,
     certificate_residual,
+    check_ht,
     classify_rates,
     count_policies,
     dumps_instance,
     enumerate_policies,
+    gen_ht,
+    gen_transient,
     loads_instance,
     maximize_lifetime,
     solve_total_cost,
+    truncate_at_state,
     validate,
 )
 from conftest import build_mdp, instance_fields
@@ -447,3 +456,38 @@ class TestActionSets:
             "optimality equation at this tolerance"
         )
         assert table.action_sets(gap, 0.5)[named] == ()
+
+
+def _seeded_tables():
+    """Packed tables with every kind of row: generated instances, one with
+    rows that have no transitions, truncated ones, and both reductions,
+    whose n + 1 columns include the sink's."""
+    yield build_mdp([[(1.0, []), (2.0, [(0, 0.5)])], [(0.0, [])]]).packed
+    for seed, n in ((1, 3), (2, 7), (3, 16), (4, 40)):
+        spec = dict(seed=seed, n_states=n, max_actions=3, density=0.5)
+        mdp = gen_transient(GenSpec(rate_class=Substochastic((0.2, 0.4)), **spec))
+        yield mdp.packed
+        yield build_hv(mdp, maximize_lifetime(mdp)).base.packed
+        ht = gen_ht(GenSpec(rate_class=Stochastic(), **spec), ell=0, alpha=0.2)
+        yield truncate_at_state(ht, 0).packed
+        yield build_hvag(ht, check_ht(ht, 0)).base.packed
+
+
+class TestDenseRows:
+    def test_same_bytes_as_the_sparse_rows_made_dense(self):
+        rng = np.random.default_rng(11)
+        for table in _seeded_tables():
+            m = len(table.c)
+            empty = np.flatnonzero(np.diff(table.R.indptr) == 0)
+            for rows in (
+                np.arange(m),
+                table.first[:-1],
+                table.first[1:] - 1,
+                rng.integers(m, size=2 * m),
+                empty,
+                np.zeros(0, dtype=np.intp),
+            ):
+                dense = table.dense_rows(rows)
+                expected = table.R[rows].toarray()
+                assert dense.dtype == expected.dtype and dense.shape == expected.shape
+                assert dense.tobytes() == expected.tobytes()
