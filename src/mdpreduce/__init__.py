@@ -41,8 +41,6 @@ from .hv import (
 from .hvag import (
     AcoeReport,
     AverageSolution,
-    acoe_residuals,
-    average_optimal_actions,
     build_hvag,
     extract_average_solution,
     lemma2_identity,
@@ -83,7 +81,6 @@ from .solve import (
     SolveReport,
     dantzig_pi,
     emit_lp,
-    format_report,
     howard_pi,
     occupation_measure,
     optimal_actions,
@@ -142,9 +139,7 @@ __all__ = [
     "TotalCostSolution",
     "TransienceCertificate",
     "ValidationReport",
-    "acoe_residuals",
     "average_cost_of_policy",
-    "average_optimal_actions",
     "brute_force_average",
     "brute_force_total",
     "build_hv",
@@ -165,7 +160,6 @@ __all__ = [
     "evaluate_lifetime",
     "extract_average_solution",
     "find_ht_states",
-    "format_report",
     "gen_ht",
     "gen_transient",
     "howard_pi",

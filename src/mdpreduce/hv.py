@@ -115,21 +115,18 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
         raise ValueError("absorbing state must transition to itself with probability 1")
 
 
-def admissible_beta(
-    mdp: RateMdp, mu: np.ndarray, K: float, beta: float | None, ell: int | None = None
-) -> float:
-    """Check the certificate ``mu`` (of the instance truncated at ``ell``,
-    when given) and return ``beta``, by default (K - 1)/K, the smallest
-    admissible discount factor.  Raises CertificateError when ``mu`` does
-    not fit the instance and ValueError when ``beta`` lies outside
-    [(K - 1)/K, 1)."""
+def admissible_beta(mdp: RateMdp, mu: np.ndarray, K: float, beta: float | None) -> float:
+    """Check the certificate ``mu`` and return ``beta``, by default
+    (K - 1)/K, the smallest admissible discount factor.  Raises
+    CertificateError when ``mu`` does not fit the instance and ValueError
+    when ``beta`` lies outside [(K - 1)/K, 1)."""
     if len(mu) != mdp.n_states:
         raise CertificateError(
             f"certificate has {len(mu)} entries for {mdp.n_states} states"
         )
     if np.any(mu < 1.0 - CERT_SLACK) or np.any(mu > K + CERT_SLACK):
         raise CertificateError("certificate mu outside [1, K]")
-    violation = certificate_residual(mdp, mu, exclude=ell)
+    violation = certificate_residual(mdp, mu)
     if violation > max(CERT_SLACK, CLAMP_TOL * K):
         raise CertificateError(
             f"certificate inequality violated by {violation:.3g}"
@@ -272,15 +269,14 @@ def _without_sink(dv: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def total_optimal_actions(mdp: RateMdp, v: np.ndarray, tol: float):
     """Per-state sets of actions optimal for the total-cost criterion:
-    those with |v(x) - c(x,a) - sum_y q(y|x,a) v(y)| <= tol.
+    those with |v(x) - [c(x,a) + sum_y q(y|x,a) v(y)]| <= tol.
 
     An empty set at some state means ``v`` is not the total-cost value
     function at this tolerance, which is an error.
     """
     table = mdp.packed
     v = np.asarray(v, dtype=float)
-    gap = v[table.owner] - table.c - table.R @ v
-    return table.action_sets(gap, tol, "total-cost optimality equation")
+    return table.action_sets(table.gap(v, v), tol, "total-cost optimality equation")
 
 
 def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:

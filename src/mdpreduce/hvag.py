@@ -89,29 +89,20 @@ def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolu
     return AverageSolution(w=w, h=cert.mu * (v - w), ell=cert.ell)
 
 
-def acoe_residuals(mdp: RateMdp, sol: AverageSolution) -> np.ndarray:
-    """Per-state residuals w + h(x) - min_a [c(x,a) + sum q(y|x,a) h(y)]."""
-    table = mdp.packed
-    return sol.w + sol.h - table.state_min(table.c + table.R @ sol.h)
-
-
-def average_optimal_actions(mdp: RateMdp, sol: AverageSolution, tol: float):
-    """Per-state sets {a : |w + h(x) - c(x,a) - sum q(y|x,a) h(y)| <= tol}."""
-    table = mdp.packed
-    return table.action_sets(sol.w + sol.h[table.owner] - table.c - table.R @ sol.h, tol)
-
-
 def verify_acoe(
     mdp: RateMdp, sol: AverageSolution, tol: float, cross_check: bool = True
 ) -> AcoeReport:
     """Check that (w, h) solves the ACOE within ``tol``.
 
-    Returns the residuals and the optimal-action sets; raises
-    AcoeResidualError (carrying the residuals) when the worst residual
-    exceeds ``tol``.  With ``cross_check`` the per-state sets are also
-    checked against the optimal-action sets of the discounted reduction,
-    which requires re-running the reduction pipeline; a disagreement
-    raises AssertionError.
+    Returns the residuals and the optimal-action sets, both cut from one
+    gap array, ``w + h(x) - [c(x,a) + sum_y q(y|x,a) h(y)]`` per row: the
+    residual at x is its maximum over x's rows, and the set at x its rows
+    within ``tol``.  Raises AcoeResidualError (carrying the residuals) when
+    the worst residual exceeds ``tol`` or a state is left without an
+    action, as a NaN in ``h`` leaves it.  With ``cross_check`` the
+    per-state sets are also checked against the optimal-action sets of the
+    discounted reduction, which requires re-running the reduction
+    pipeline; a disagreement raises AssertionError.
 
     The cross-check rests on the one-step identity of
     :func:`lemma2_identity`: at a non-sink row, with v the optimal
@@ -136,11 +127,13 @@ def verify_acoe(
     """
     if classify_rates(mdp) is not RateClass.STOCHASTIC:
         raise ValueError("the average-cost criterion requires stochastic rates")
-    residuals = acoe_residuals(mdp, sol)
+    table = mdp.packed
+    gap = table.gap(sol.w + sol.h, sol.h)
+    residuals = table.state_max(gap)
     max_residual = float(np.max(np.abs(residuals)))
     if max_residual > tol:
         raise AcoeResidualError(max_residual, residuals)
-    sets = average_optimal_actions(mdp, sol, tol)
+    sets = table.action_sets(gap, tol)
     if any(not members for members in sets):
         raise AcoeResidualError(max_residual, residuals)
     if cross_check:
@@ -155,11 +148,10 @@ def verify_acoe(
         dmdp = build_hvag(mdp, cert)
         start = StationaryPolicy([members[0] for members in sets] + [0])
         v = howard_pi(dmdp, phi0=start).values
-        table, dtable = mdp.packed, dmdp.base.packed
         # the sink's row comes last; the rows before it are those of ``table``
-        gap = (v[dtable.owner] - dtable.c - dmdp.beta * (dtable.R @ v))[:-1]
+        dgap = dmdp.base.packed.gap(v, v, dmdp.beta)[:-1]
         discounted_sets = table.action_sets(
-            cert.mu[table.owner] * gap, tol, "optimality equation"
+            cert.mu[table.owner] * dgap, tol, "optimality equation"
         )
         if discounted_sets != sets:
             raise AssertionError(

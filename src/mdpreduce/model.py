@@ -4,8 +4,9 @@ A rate MDP is a finite MDP whose transitions carry nonnegative *rates*
 rather than probabilities; row sums may be anything finite.  Everything
 that computes works on one packed table (:class:`PackedMdp`): the
 state-action rows in state-major order, their costs ``c`` and their rates
-as an m x n sparse matrix ``R``.  A Bellman-type step is then ``c + R @ v``
-followed by a minimum or maximum over each state's rows.
+as an m x n sparse matrix ``R``.  A Bellman-type step is then
+:meth:`PackedMdp.bellman` (``c + beta R @ v``) followed by a minimum or
+maximum over each state's rows.
 
 An instance is either built from tuples of :class:`ActionData` (by users)
 or table-backed: the file reader, the generators, the reductions,
@@ -176,9 +177,24 @@ class PackedMdp:
         object.__setattr__(self, "owner", owner)
         object.__setattr__(self, "local", np.arange(len(self.c)) - self.first[owner])
 
+    def bellman(self, v: np.ndarray, beta: float = 1.0) -> np.ndarray:
+        """The Bellman rows ``c + beta (R v)`` (m,): each row's cost plus its
+        continuation, the rows of every discounted, total-cost and ACOE check."""
+        return self.c + beta * (self.R @ v)
+
+    def gap(self, lhs: np.ndarray, v: np.ndarray, beta: float = 1.0) -> np.ndarray:
+        """``lhs(x) - [c(x,a) + beta sum_y q(y|x,a) v(y)]`` for every row.  Its
+        state maximum is the residual, with the bits of ``lhs - min_a q``
+        (rounding is monotone), and its rows near zero the optimal actions."""
+        return lhs[self.owner] - self.bellman(v, beta)
+
     def state_min(self, q: np.ndarray) -> np.ndarray:
         """Minimum of ``q`` (m,) over each state's rows."""
         return np.minimum.reduceat(q, self.first[:-1])
+
+    def state_max(self, g: np.ndarray) -> np.ndarray:
+        """Maximum of ``g`` (m,) over each state's rows."""
+        return np.maximum.reduceat(g, self.first[:-1])
 
     def state_argmin(self, q: np.ndarray):
         """Per-state minimum of ``q`` and the lowest action index attaining it."""

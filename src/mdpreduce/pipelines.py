@@ -62,20 +62,25 @@ def solve_total_cost(
 ):
     """Check transience, reduce to a discounted instance, solve it, and lift
     the solution back.  Returns a TotalCostSolution, or the
-    NonTransienceWitness when the instance is not transient."""
+    NonTransienceWitness when the instance is not transient.  The
+    total-cost optimal-action sets are cut at ACTION_TOL, or at the
+    value-iteration tolerance when that is larger, as the solver's own."""
     cert = maximize_lifetime(mdp)
     if isinstance(cert, NonTransienceWitness):
         return cert
     dmdp = build_hv(mdp, cert, beta=beta)
     report = solve(dmdp, method=method, **solver_kwargs)
     values = lift_total_value(report.values, cert.mu)
+    action_tol = ACTION_TOL
+    if method == "vi":
+        action_tol = max(action_tol, solver_kwargs.get("tol", action_tol))
     return TotalCostSolution(
         certificate=cert,
         discounted=dmdp,
         report=report,
         values=values,
         policy=StationaryPolicy(tuple(report.policy)[: mdp.n_states]),
-        optimal_actions=tuple(total_optimal_actions(mdp, values, ACTION_TOL)),
+        optimal_actions=tuple(total_optimal_actions(mdp, values, action_tol)),
     )
 
 

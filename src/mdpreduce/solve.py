@@ -18,7 +18,6 @@ row switches.  Each solver gives only those two steps.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +46,6 @@ class SolveReport:
     iterations: int
     bellman_residual: float
     method: str
-    elapsed_s: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -99,24 +97,23 @@ def policy_evaluate(dmdp: DiscountedMdp, phi: StationaryPolicy) -> np.ndarray:
 
 
 def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
-    """Per-state sets {a : |v(x) - c(x,a) - beta sum_y p(y|x,a) v(y)| <= tol}.
+    """Per-state sets {a : |v(x) - [c(x,a) + beta sum_y p(y|x,a) v(y)]| <= tol}.
 
     An empty set at some state means ``v`` does not solve the optimality
     equation at this tolerance, which is an error.
     """
     table = dmdp.base.packed
     v = np.asarray(v, dtype=float)
-    gap = v[table.owner] - table.c - dmdp.beta * (table.R @ v)
-    return table.action_sets(gap, tol, "optimality equation")
+    return table.action_sets(table.gap(v, v, dmdp.beta), tol, "optimality equation")
 
 
-def _finish(dmdp, table, v, rows, iterations, method, started):
+def _finish(dmdp, table, v, rows, iterations, method, tol=ACTION_TOL):
     """The report of a run that stopped at values ``v`` with the policy
     whose packed rows are ``rows``: the one place a solver builds its
-    StationaryPolicy."""
-    tv = table.state_min(table.c + dmdp.beta * (table.R @ v))
-    residual = float(np.max(np.abs(tv - v)))
-    sets = tuple(optimal_actions(dmdp, v, ACTION_TOL))
+    StationaryPolicy.  One gap array gives the residual and the sets."""
+    gap = table.gap(v, v, dmdp.beta)
+    residual = float(np.max(np.abs(table.state_max(gap))))
+    sets = tuple(table.action_sets(gap, tol, "optimality equation"))
     choice = table.local[rows].tolist()
     if not all(a in members for a, members in zip(choice, sets)):
         raise RuntimeError("returned policy must lie in the reported optimal-action sets")
@@ -127,7 +124,6 @@ def _finish(dmdp, table, v, rows, iterations, method, started):
         iterations=iterations,
         bellman_residual=residual,
         method=method,
-        elapsed_s=time.perf_counter() - started,
     )
 
 
@@ -143,10 +139,11 @@ def value_iteration(
     exact.  Successive increments must shrink by a factor of beta
     (contraction), which is checked each iteration, up to round-off of
     1e-15 max(1, |v|).  Only the last sweep takes the greedy actions, from
-    the same q as its minimum.  A bad ``tol``, ``max_iter`` or ``v0`` raises
-    ValueError.
+    the same q as its minimum.  The optimal-action sets are cut at
+    max(ACTION_TOL, tol), since the values are only ``tol``-accurate: the
+    greedy row's gap is beta P (v_prev - v), at most tol (1 - beta) / 2.
+    A bad ``tol``, ``max_iter`` or ``v0`` raises ValueError.
     """
-    started = time.perf_counter()
     _check_budget(tol, max_iter)
     beta = dmdp.beta
     table = dmdp.base.packed
@@ -156,7 +153,7 @@ def value_iteration(
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     previous_delta = None
     for iteration in range(1, max_iter + 1):
-        q = table.c + beta * (table.R @ v)
+        q = table.bellman(v, beta)
         tv = table.state_min(q)
         delta = float(np.max(np.abs(tv - v)))
         # the second test, for |v| > 1, runs only when the first fails
@@ -169,7 +166,9 @@ def value_iteration(
         if delta <= threshold:
             _, greedy = table.state_argmin(q)
             rows = table.first[:-1] + greedy
-            return _finish(dmdp, table, v, rows, iteration, "value-iteration", started)
+            return _finish(
+                dmdp, table, v, rows, iteration, "value-iteration", max(ACTION_TOL, tol)
+            )
     raise NotConvergedWithinBudget(
         f"value iteration still moving by {previous_delta:.3g} after {max_iter} iterations"
     )
@@ -186,7 +185,6 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     rounds, far above that, the improvement must be cycling and
     NotConvergedWithinBudget is raised.
     """
-    started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
     K = 1.0 / (1.0 - beta)
@@ -198,7 +196,7 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
         if last is not None and not np.all(v <= last + 1e-9):
             raise RuntimeError("policy iteration must not increase values")
         last = v
-        q = table.c + beta * (table.R @ v)
+        q = table.bellman(v, beta)
         low, best = table.state_argmin(q)
         switch = low < q[rows] - IMPROVE_TOL
         return np.where(switch, table.first[:-1] + best, rows) if switch.any() else None
@@ -207,25 +205,25 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
         table, phi0, lambda rows: _evaluate(dmdp, rows), improve, cap,
         lambda: f"Howard policy iteration exceeded {cap} rounds (improvement cycle?)",
     )
-    return _finish(dmdp, table, v, rows, rounds, "howard-pi", started)
+    return _finish(dmdp, table, v, rows, rounds, "howard-pi")
 
 
 def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> SolveReport:
     """Simple policy iteration with Dantzig's rule: per round, switch the
-    single state-action pair with the most negative reduced cost
-    c(x,a) + beta sum p(y|x,a) v(y) - v(x) (ties: lowest state, then lowest
-    action); stop when all reduced costs are >= -1e-12.  The iteration
-    count is the number of switches, at most 10,000 + 100 m^2.
+    single state-action pair with the largest gap
+    v(x) - [c(x,a) + beta sum p(y|x,a) v(y)], the most negative reduced
+    cost (ties: lowest state, then lowest action); stop when all gaps are
+    <= 1e-12.  The iteration count is the number of switches, at most
+    10,000 + 100 m^2.
     """
-    started = time.perf_counter()
     beta = dmdp.beta
     table = dmdp.base.packed
     cap = 10_000 + 100 * len(table.c) ** 2
 
     def improve(v, rows):
-        reduced = table.c + beta * (table.R @ v) - v[table.owner]
-        row = int(np.argmin(reduced))
-        if not reduced[row] < -IMPROVE_TOL:
+        gap = table.gap(v, v, beta)
+        row = int(np.argmax(gap))
+        if not gap[row] > IMPROVE_TOL:
             return None
         rows = rows.copy()  # the default start is a view of table.first
         rows[table.owner[row]] = row
@@ -235,7 +233,7 @@ def dantzig_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Sol
         table, phi0, lambda rows: _evaluate(dmdp, rows), improve, cap,
         lambda: f"Dantzig policy iteration exceeded {cap} switches (degeneracy cycle?)",
     )
-    return _finish(dmdp, table, v, rows, steps - 1, "dantzig-pi", started)
+    return _finish(dmdp, table, v, rows, steps - 1, "dantzig-pi")
 
 
 METHODS = {
@@ -246,7 +244,13 @@ METHODS = {
 
 
 def solve(dmdp: DiscountedMdp, method: str = "howard", **kwargs) -> SolveReport:
-    """Dispatch to one of the three solvers by name (vi | howard | dantzig)."""
+    """Dispatch to one of the three solvers by name (vi | howard | dantzig).
+
+    Each reports from one gap v(x) - [c(x,a) + beta sum_y p(y|x,a) v(y)] per
+    row: ``bellman_residual`` is max_x |max_a gap|, and ``optimal_actions``
+    the rows with |gap| <= ACTION_TOL, or max(ACTION_TOL, tol) for value
+    iteration, whose values are only ``tol``-accurate.
+    """
     try:
         solver = METHODS[method]
     except KeyError:
@@ -334,22 +338,4 @@ def emit_lp(dmdp: DiscountedMdp) -> str:
     lines.append("Bounds")
     lines.extend(f" {name} >= 0" for name in names)
     lines.append("End")
-    return "\n".join(lines) + "\n"
-
-
-def format_report(report: SolveReport) -> str:
-    """Serialize a SolveReport as structured text (12 significant digits)."""
-    lines = [
-        f"method: {report.method}",
-        f"iterations: {report.iterations}",
-        f"bellman_residual: {report.bellman_residual:.12g}",
-        f"elapsed_s: {report.elapsed_s:.6g}",
-        "values: " + " ".join(f"{v:.12g}" for v in report.values),
-        "policy: " + " ".join(str(a) for a in report.policy),
-        "optimal_actions: "
-        + " ".join(
-            f"{x}:{','.join(str(a) for a in acts)}"
-            for x, acts in enumerate(report.optimal_actions)
-        ),
-    ]
     return "\n".join(lines) + "\n"

@@ -233,7 +233,7 @@ def mu_value_iteration(
     u = np.zeros(mdp.n_states)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        nxt = np.maximum.reduceat(1.0 + table.R @ u, table.first[:-1])
+        nxt = table.state_max(1.0 + table.R @ u)
         if not np.all(nxt >= u):
             raise RuntimeError("lifetime iterates must be nondecreasing")
         delta = float(np.max(nxt - u))

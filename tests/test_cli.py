@@ -1,5 +1,6 @@
 import pytest
 
+from mdpreduce import GenSpec, Substochastic, gen_ht, gen_transient
 from mdpreduce import dump_instance, load_instance, loads_discounted, validate
 from mdpreduce import cli
 from mdpreduce.cli import main
@@ -140,6 +141,21 @@ class TestSolveTotal:
         assert code == 1 and out == ""
         assert err == f"error: tol must be finite and positive, got {float(tol)!r}\n"
 
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-4"])
+    def test_vi_at_a_loose_tolerance(self, capsys, tmp_path, tol):
+        # VI's sets are cut at its tol: a cut at 1e-8 leaves states without
+        # an action ("error: no action within 1e-08 at state 0")
+        path = tmp_path / "random.json"
+        dump_instance(gen_transient(GenSpec(20, 3, Substochastic((0.05, 0.3)), seed=1)), path)
+        code, out, err = run(capsys, "solve-total", str(path), "--method", "vi", "--tol", tol)
+        assert (code, err) == (0, "")
+        _, exact, _ = run(capsys, "solve-total", str(path))
+        values = [float(v) for v in grab(out, "values").split()]
+        reference = [float(v) for v in grab(exact, "values").split()]
+        assert max(abs(a - b) for a, b in zip(values, reference)) <= 20 * float(tol)
+        sets = [s.split(":")[1].split(",") for s in grab(out, "optimal_actions").split()]
+        assert all(a in acts for a, acts in zip(grab(out, "policy").split(), sets))
+
     def test_inadmissible_beta(self, capsys, geometric_file):
         code, _, err = run(capsys, "solve-total", geometric_file, "--beta", "0.3")
         assert code == 1
@@ -177,6 +193,18 @@ class TestSolveAverage:
         assert code == 0
         assert grab(out, "w") == "2.5"
         assert grab(out, "h") == "0 0"
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-4"])
+    def test_vi_at_a_loose_tolerance(self, capsys, tmp_path, tol):
+        path = tmp_path / "random.json"
+        dump_instance(gen_ht(GenSpec(20, 3, seed=1), ell=0), path)
+        code, out, err = run(
+            capsys, "solve-average", str(path), "--state", "0", "--method", "vi", "--tol", tol
+        )
+        assert (code, err) == (0, "")
+        _, exact, _ = run(capsys, "solve-average", str(path), "--state", "0")
+        assert abs(float(grab(out, "w")) - float(grab(exact, "w"))) <= float(tol)
+        assert float(grab(out, "acoe_max_residual")) <= 100 * float(tol)
 
     def test_substochastic_rejected(self, capsys, geometric_file):
         code, out, err = run(capsys, "solve-average", geometric_file, "--state", "0")

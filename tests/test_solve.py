@@ -24,7 +24,6 @@ from mdpreduce import (
     check_ht,
     dantzig_pi,
     emit_lp,
-    format_report,
     gen_ht,
     gen_transient,
     howard_pi,
@@ -33,6 +32,7 @@ from mdpreduce import (
     optimal_actions,
     policy_evaluate,
     solve_average_cost,
+    solve_total_cost,
     value_iteration,
 )
 from mdpreduce.solve import solve
@@ -59,6 +59,16 @@ def hv_instance(seed, n=4, max_actions=3):
     )
     cert = maximize_lifetime(mdp)
     return build_hv(mdp, cert)
+
+
+def loose_vi_spec(seed):
+    """n = 20 transient instances with K up to 20."""
+    return GenSpec(
+        n_states=20,
+        max_actions=3,
+        rate_class=Substochastic(kill_prob_range=(0.05, 0.3)),
+        seed=seed,
+    )
 
 
 @pytest.fixture
@@ -124,6 +134,30 @@ class TestValueIteration:
             report = value_iteration(hv_instance(seed), tol=1e-10)
             for x, acts in enumerate(report.optimal_actions):
                 assert report.policy[x] in acts
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_sets_are_cut_at_the_solver_tolerance(self, tol):
+        # the values are only tol-accurate, so the sets are cut at
+        # max(ACTION_TOL, tol): a cut at 1e-8 leaves states without an action
+        for seed in range(8):
+            mdp = gen_transient(loose_vi_spec(seed))
+            vi = solve_total_cost(mdp, method="vi", tol=tol)
+            exact = solve_total_cost(mdp)
+            assert np.max(np.abs(vi.report.values - exact.report.values)) <= tol / 2
+            for result in (vi.report, vi):
+                assert all(a in acts for a, acts in zip(result.policy, result.optimal_actions))
+            # an action with an exact gap under (1 - beta) tol / 2 has a gap under tol here
+            for got, ref in zip(vi.report.optimal_actions, exact.report.optimal_actions):
+                assert set(ref) <= set(got)
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_average_cost_reaches_its_loosened_acoe_check(self, tol):
+        for seed in range(8):
+            mdp = gen_ht(GenSpec(n_states=20, max_actions=3, seed=seed), ell=0)
+            vi = solve_average_cost(mdp, 0, method="vi", tol=tol)
+            exact = solve_average_cost(mdp, 0)
+            assert abs(vi.solution.w - exact.solution.w) <= tol / 2
+            assert vi.acoe.max_residual <= 100.0 * tol
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -273,6 +307,46 @@ class TestOptimalActions:
     def test_empty_set_raises(self, geometric_hv):
         with pytest.raises(ValueError, match="no action within"):
             optimal_actions(geometric_hv, np.array([50.0, 0.0]), 1e-9)
+
+
+class TestResidualBits:
+    """Each residual is the state maximum of the one gap array its sets are
+    cut from.  Rounding is monotone, max_a fl(v - q_a) = fl(v - min_a q_a),
+    so it keeps the bits of the old two-pass expression written here."""
+
+    @staticmethod
+    def old_bellman_residual(dmdp, v):
+        table = dmdp.base.packed
+        tv = np.minimum.reduceat(table.c + dmdp.beta * (table.R @ v), table.first[:-1])
+        return float(np.max(np.abs(tv - v)))
+
+    def test_solver_reports(self):
+        for seed in range(6):
+            mdp = gen_ht(GenSpec(n_states=12, max_actions=3, seed=seed), ell=0)
+            for dmdp in (hv_instance(seed, n=12), build_hvag(mdp, check_ht(mdp, 0))):
+                for method in ("vi", "howard", "dantzig"):
+                    report = solve(dmdp, method)
+                    old = self.old_bellman_residual(dmdp, report.values)
+                    assert report.bellman_residual.hex() == old.hex()
+
+    def test_values_far_from_the_fixed_point(self):
+        rng = np.random.default_rng(5)
+        for seed in range(6):
+            dmdp = hv_instance(seed, n=12)
+            v = rng.normal(size=dmdp.n_states) * 10.0 ** rng.integers(-3, 4)
+            table = dmdp.base.packed
+            new = float(np.max(np.abs(table.state_max(table.gap(v, v, dmdp.beta)))))
+            assert new.hex() == self.old_bellman_residual(dmdp, v).hex()
+
+    def test_acoe_residuals(self):
+        for seed in range(6):
+            mdp = gen_ht(GenSpec(n_states=12, max_actions=3, seed=seed), ell=0)
+            for method in ("vi", "howard", "dantzig"):
+                sol = solve_average_cost(mdp, 0, method=method)
+                w, h, table = sol.solution.w, sol.solution.h, mdp.packed
+                old = w + h - np.minimum.reduceat(table.c + table.R @ h, table.first[:-1])
+                assert sol.acoe.residuals.tobytes() == old.tobytes()
+                assert sol.acoe.max_residual.hex() == float(np.max(np.abs(old))).hex()
 
 
 # -- LP emission ------------------------------------------------------------
@@ -432,21 +506,6 @@ class TestOccupationMeasure:
                         p * v[y] for y, p in act.transitions
                     )
                     assert reduced <= 1e-9
-
-
-class TestFormatReport:
-    def test_contains_all_fields(self, geometric_hv):
-        text = format_report(howard_pi(geometric_hv))
-        for key in (
-            "method:",
-            "iterations:",
-            "bellman_residual:",
-            "elapsed_s:",
-            "values:",
-            "policy:",
-            "optimal_actions:",
-        ):
-            assert key in text
 
 
 # -- Sparse policy evaluation above _linalg.DENSE_MAX_N ----------------------
