@@ -21,6 +21,7 @@ from .errors import (
     InstanceFormatError,
     NonTransientPolicyError,
     NotConvergedWithinBudget,
+    NumericalError,
     PolicyCapExceeded,
     SingularSystemError,
 )
@@ -123,6 +124,7 @@ __all__ = [
     "NonTransienceWitness",
     "NonTransientPolicyError",
     "NotConvergedWithinBudget",
+    "NumericalError",
     "OccupationMeasure",
     "OracleResult",
     "PackedMdp",

@@ -2,8 +2,10 @@
 
 Subcommands: check, solve-total, solve-average, transform, emit-lp, gen.
 Exit codes are a stable contract: 0 = success, 1 = usage or input error
-or a numerical failure (a singular system, an exhausted iteration budget),
-2 = assumption failure (the offending policy witness is printed).
+(any ValueError or OSError) or a numerical failure (any NumericalError: a
+singular system, an exhausted iteration budget, a broken solver invariant,
+an ACOE cross-check disagreement), 2 = assumption failure (the offending
+policy witness is printed).
 
 Output is machine-parseable ``key: value`` text; all numbers are printed
 with 12 significant digits.  Assumptions are always re-checked before
@@ -18,15 +20,14 @@ import sys
 
 import numpy as np
 
-from .errors import InstanceFormatError, NonTransientPolicyError
-from .errors import NotConvergedWithinBudget, SingularSystemError
+from .errors import InstanceFormatError, NumericalError
 from .generate import GenSpec, Stochastic, Substochastic, gen_ht, gen_transient
 from .hv import build_hv, dumps_discounted
 from .hvag import build_hvag
 from .model import dumps_instance, load_instance, validate
 from .oracle import brute_force_average, brute_force_total
 from .pipelines import solve_average_cost, solve_total_cost
-from .solve import emit_lp
+from .solve import METHODS, emit_lp
 from .transience import NonTransienceWitness, check_ht, maximize_lifetime
 
 EXIT_OK = 0
@@ -57,10 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INPUT)
 
 
-def _print_witness(witness: NonTransienceWitness) -> None:
-    evidence = type(witness.evidence).__name__
-    print("witness_policy: " + " ".join(str(a) for a in witness.policy))
-    print(f"witness_evidence: {evidence}")
+def _verdict(key: str, result) -> bool:
+    """Print ``key: no`` and the witness lines when ``result`` is a
+    NonTransienceWitness, else ``key: yes``.  True when the assumption holds."""
+    if isinstance(result, NonTransienceWitness):
+        print(f"{key}: no")
+        print("witness_policy: " + " ".join(str(a) for a in result.policy))
+        print(f"witness_evidence: {type(result.evidence).__name__}")
+        return False
+    print(f"{key}: yes")
+    return True
 
 
 def _cmd_check(args) -> int:
@@ -68,25 +75,15 @@ def _cmd_check(args) -> int:
     report = validate(mdp)
     print(f"max_row_sum: {_fmt(report.max_row_sum)}")
     print(f"rate_class: {report.rate_class.value}")
+    # ``bound`` names both the printed key and the certificate's attribute
     if args.state is None:
-        result = maximize_lifetime(mdp)
-        if isinstance(result, NonTransienceWitness):
-            print("transient: no")
-            _print_witness(result)
-            return EXIT_ASSUMPTION
-        print("transient: yes")
-        print(f"K: {_fmt(result.K)}")
-        print(f"mu: {_fmt_vec(result.mu)}")
-        return EXIT_OK
-    ell = args.state
-    result = check_ht(mdp, ell)
-    if isinstance(result, NonTransienceWitness):
-        print(f"ht_holds_at_{ell}: no")
-        _print_witness(result)
+        key, cert, bound = "transient", maximize_lifetime(mdp), "K"
+    else:
+        key, cert, bound = f"ht_holds_at_{args.state}", check_ht(mdp, args.state), "K_star"
+    if not _verdict(key, cert):
         return EXIT_ASSUMPTION
-    print(f"ht_holds_at_{ell}: yes")
-    print(f"K_star: {_fmt(result.K_star)}")
-    print(f"mu: {_fmt_vec(result.mu)}")
+    print(f"{bound}: {_fmt(getattr(cert, bound))}")
+    print(f"mu: {_fmt_vec(cert.mu)}")
     return EXIT_OK
 
 
@@ -94,11 +91,8 @@ def _cmd_solve_total(args) -> int:
     mdp = load_instance(args.input)
     kwargs = {"tol": args.tol} if args.method == "vi" else {}
     result = solve_total_cost(mdp, method=args.method, beta=args.beta, **kwargs)
-    if isinstance(result, NonTransienceWitness):
-        print("transient: no")
-        _print_witness(result)
+    if not _verdict("transient", result):
         return EXIT_ASSUMPTION
-    print("transient: yes")
     print(f"K: {_fmt(result.certificate.K)}")
     print(f"beta: {_fmt(result.discounted.beta)}")
     print(f"method: {result.report.method}")
@@ -121,11 +115,8 @@ def _cmd_solve_average(args) -> int:
     result = solve_average_cost(
         mdp, args.state, method=args.method, beta=args.beta, **kwargs
     )
-    if isinstance(result, NonTransienceWitness):
-        print(f"ht_holds_at_{args.state}: no")
-        _print_witness(result)
+    if not _verdict(f"ht_holds_at_{args.state}", result):
         return EXIT_ASSUMPTION
-    print(f"ht_holds_at_{args.state}: yes")
     print(f"K_star: {_fmt(result.certificate.K_star)}")
     print(f"beta: {_fmt(result.discounted.beta)}")
     print(f"method: {result.report.method}")
@@ -161,40 +152,34 @@ def _cmd_transform(args) -> int:
         if args.state is None:
             raise InstanceFormatError("--state is required with --kind hvag")
         cert, build = check_ht(mdp, args.state), build_hvag
+    # only a failed check prints a verdict: stdout may carry the reduction
     if isinstance(cert, NonTransienceWitness):
-        print("assumption_holds: no")
-        _print_witness(cert)
+        _verdict("assumption_holds", cert)
         return EXIT_ASSUMPTION
     _write_out(args.writer(build(mdp, cert, beta=args.beta)), args.output)
     return EXIT_OK
 
 
 def _cmd_gen(args) -> int:
-    if args.kind == "transient":
-        if args.alpha is not None or args.ell is not None:
-            raise InstanceFormatError("--alpha/--ell only apply to --kind ht")
-        spec = GenSpec(
-            n_states=args.states,
-            max_actions=args.max_actions,
-            rate_class=Substochastic(
-                kill_prob_range=tuple(args.kill_range or (0.2, 0.5))
-            ),
-            cost_range=tuple(args.cost_range),
-            density=args.density,
-            seed=args.seed,
-        )
+    transient = args.kind == "transient"
+    if transient and (args.alpha is not None or args.ell is not None):
+        raise InstanceFormatError("--alpha/--ell only apply to --kind ht")
+    if not transient and args.kill_range is not None:
+        raise InstanceFormatError("--kill-range only applies to --kind transient")
+    spec = GenSpec(
+        n_states=args.states,
+        max_actions=args.max_actions,
+        rate_class=(
+            Substochastic(kill_prob_range=tuple(args.kill_range or (0.2, 0.5)))
+            if transient else Stochastic()
+        ),
+        cost_range=tuple(args.cost_range),
+        density=args.density,
+        seed=args.seed,
+    )
+    if transient:
         mdp = gen_transient(spec)
     else:
-        if args.kill_range is not None:
-            raise InstanceFormatError("--kill-range only applies to --kind transient")
-        spec = GenSpec(
-            n_states=args.states,
-            max_actions=args.max_actions,
-            rate_class=Stochastic(),
-            cost_range=tuple(args.cost_range),
-            density=args.density,
-            seed=args.seed,
-        )
         mdp = gen_ht(
             spec,
             args.ell if args.ell is not None else 0,
@@ -214,6 +199,26 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the options shared by solve-total and solve-average
+    solving = argparse.ArgumentParser(add_help=False)
+    solving.add_argument("--method", choices=tuple(METHODS), default="howard")
+    solving.add_argument("--beta", type=float, default=None,
+                         help="override the discount factor of the reduction")
+    solving.add_argument("--tol", type=float, default=1e-10,
+                         help="value-iteration tolerance (vi only)")
+    solving.add_argument("--oracle", action="store_true",
+                         help="also run the brute-force oracle and print the deviation")
+
+    # the options shared by transform and emit-lp
+    reducing = argparse.ArgumentParser(add_help=False)
+    reducing.add_argument("--kind", choices=("hv", "hvag"), required=True)
+    reducing.add_argument("--state", type=int, default=None, metavar="L",
+                          help="distinguished state (hvag only)")
+    reducing.add_argument("--beta", type=float, default=None,
+                          help="override the discount factor of the reduction")
+    reducing.add_argument("-o", "--output", default=None,
+                          help="output path (default stdout)")
+
     def add_common(p):
         p.add_argument("input", help="instance file (JSON)")
 
@@ -223,43 +228,26 @@ def _build_parser() -> _Parser:
                    help="check bounded hitting time to this state instead")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("solve-total", help="solve the total-cost criterion")
+    p = sub.add_parser("solve-total", parents=[solving],
+                       help="solve the total-cost criterion")
     add_common(p)
-    p.add_argument("--method", choices=("vi", "howard", "dantzig"),
-                   default="howard")
-    p.add_argument("--beta", type=float, default=None,
-                   help="override the discount factor of the reduction")
-    p.add_argument("--tol", type=float, default=1e-10,
-                   help="value-iteration tolerance (vi only)")
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the brute-force oracle and print the deviation")
     p.set_defaults(func=_cmd_solve_total)
 
-    p = sub.add_parser("solve-average", help="solve the average-cost criterion")
+    p = sub.add_parser("solve-average", parents=[solving],
+                       help="solve the average-cost criterion")
     add_common(p)
     p.add_argument("--state", type=int, required=True, metavar="L",
                    help="distinguished state with bounded hitting time")
-    p.add_argument("--method", choices=("vi", "howard", "dantzig"),
-                   default="howard")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--oracle", action="store_true")
     p.set_defaults(func=_cmd_solve_average)
 
-    p = sub.add_parser("transform", help="write the discounted reduction")
+    p = sub.add_parser("transform", parents=[reducing],
+                       help="write the discounted reduction")
     add_common(p)
-    p.add_argument("--kind", choices=("hv", "hvag"), required=True)
-    p.add_argument("--state", type=int, default=None, metavar="L")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_transform, writer=dumps_discounted)
 
-    p = sub.add_parser("emit-lp", help="emit the occupation-measure LP")
+    p = sub.add_parser("emit-lp", parents=[reducing],
+                       help="emit the occupation-measure LP")
     add_common(p)
-    p.add_argument("--kind", choices=("hv", "hvag"), required=True)
-    p.add_argument("--state", type=int, default=None, metavar="L")
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_transform, writer=emit_lp)
 
     p = sub.add_parser("gen", help="generate a random instance")
@@ -294,8 +282,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT
-    except (ValueError, OSError, SingularSystemError, NotConvergedWithinBudget,
-            NonTransientPolicyError) as exc:
+    except (ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command-line front end exits 1 on a ValueError or OSError (bad
+input) or a NumericalError (the numbers went wrong on valid input).
+"""
 
 
 class InstanceFormatError(ValueError):
@@ -18,16 +22,22 @@ class CertificateError(ValueError):
     """
 
 
-class NotConvergedWithinBudget(RuntimeError):
+class NumericalError(RuntimeError):
+    """A computation on valid input failed numerically: a singular system,
+    an exhausted iteration budget, a broken solver invariant, or an ACOE
+    cross-check that disagrees with the discounted reduction."""
+
+
+class NotConvergedWithinBudget(NumericalError):
     """An iterative method exhausted its iteration budget before converging."""
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(NumericalError):
     """A linear system that should be nonsingular under the caller's
     preconditions turned out singular."""
 
 
-class NonTransientPolicyError(RuntimeError):
+class NonTransientPolicyError(NumericalError):
     """A brute-force evaluation hit a non-transient policy although the
     caller claimed Assumption-T-style boundedness was certified."""
 

@@ -22,6 +22,7 @@ from scipy import sparse
 
 from .errors import CertificateError, InstanceFormatError
 from .model import (
+    ROW_SUM_TOL,
     PackedMdp,
     RateMdp,
     _as_index,
@@ -35,8 +36,6 @@ from .model import (
     instance_from_obj,
 )
 from .transience import CERT_SLACK, CLAMP_TOL, TransienceCertificate, certificate_residual
-
-ROW_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +99,7 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
             raise ValueError(f"origin state {origin.ell} out of range")
     table = base.packed
     sums = table.row_sums()
-    bad_sum = np.flatnonzero(np.abs(sums - 1.0) > ROW_TOL)
+    bad_sum = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad_sum.size:
         r = int(bad_sum[0])
         x, a = int(table.owner[r]), int(table.local[r])
@@ -111,7 +110,7 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
     row = table.first[sink]
     if table.first[sink + 1] - row != 1 or table.c[row] != 0.0:
         raise ValueError("absorbing state must have exactly one cost-free action")
-    if abs(table.R[row, sink] - 1.0) > ROW_TOL:
+    if abs(table.R[row, sink] - 1.0) > ROW_SUM_TOL:
         raise ValueError("absorbing state must transition to itself with probability 1")
 
 

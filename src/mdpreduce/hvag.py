@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AcoeResidualError
+from .errors import AcoeResidualError, NumericalError
 from .hv import DiscountedMdp, _without_sink, admissible_beta, rescale
 from .model import RateClass, RateMdp, StationaryPolicy, classify_rates
 from .transience import HtCertificate, check_ht, truncate_at_state
@@ -102,7 +102,7 @@ def verify_acoe(
     action, as a NaN in ``h`` leaves it.  With ``cross_check`` the
     per-state sets are also checked against the optimal-action sets of the
     discounted reduction, which requires re-running the reduction
-    pipeline; a disagreement raises AssertionError.
+    pipeline; a disagreement raises NumericalError.
 
     The cross-check rests on the one-step identity of
     :func:`lemma2_identity`: at a non-sink row, with v the optimal
@@ -154,7 +154,7 @@ def verify_acoe(
             cert.mu[table.owner] * dgap, tol, "optimality equation"
         )
         if discounted_sets != sets:
-            raise AssertionError(
+            raise NumericalError(
                 "ACOE optimal-action sets disagree with the discounted "
                 f"reduction's: {sets} vs {discounted_sets}"
             )

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import sparse
 
 from . import _linalg
-from .errors import NotConvergedWithinBudget, SingularSystemError
+from .errors import NotConvergedWithinBudget, NumericalError, SingularSystemError
 from .hv import DiscountedMdp
 from .model import StationaryPolicy, _check_budget, _policy_iteration
 
@@ -116,7 +116,7 @@ def _finish(dmdp, table, v, rows, iterations, method, tol=ACTION_TOL):
     sets = tuple(table.action_sets(gap, tol, "optimality equation"))
     choice = table.local[rows].tolist()
     if not all(a in members for a, members in zip(choice, sets)):
-        raise RuntimeError("returned policy must lie in the reported optimal-action sets")
+        raise NumericalError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
         values=v,
         policy=StationaryPolicy(choice),
@@ -161,7 +161,7 @@ def value_iteration(
             delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15
             or delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15 * float(np.max(np.abs(tv)))
         ):
-            raise RuntimeError("optimality operator failed to contract")
+            raise NumericalError("optimality operator failed to contract")
         v, previous_delta = tv, delta
         if delta <= threshold:
             _, greedy = table.state_argmin(q)
@@ -194,7 +194,7 @@ def howard_pi(dmdp: DiscountedMdp, phi0: StationaryPolicy | None = None) -> Solv
     def improve(v, rows):
         nonlocal last
         if last is not None and not np.all(v <= last + 1e-9):
-            raise RuntimeError("policy iteration must not increase values")
+            raise NumericalError("policy iteration must not increase values")
         last = v
         q = table.bellman(v, beta)
         low, best = table.state_argmin(q)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .errors import NotConvergedWithinBudget
+from .errors import NotConvergedWithinBudget, NumericalError
 from .model import PackedMdp, RateMdp, StationaryPolicy, from_packed
 from .model import _check_budget, _policy_iteration
 
@@ -124,19 +124,12 @@ def policy_spectral_radius(mdp: RateMdp, phi: StationaryPolicy) -> float:
     return float(np.abs(np.linalg.eigvals(table.dense_rows(table.rows(phi)))).max())
 
 
-def certificate_residual(
-    mdp: RateMdp, mu: np.ndarray, exclude: int | None = None
-) -> float:
+def certificate_residual(mdp: RateMdp, mu: np.ndarray) -> float:
     """Worst violation of mu(x) >= 1 + sum q(y|x,a) mu(y) over all (x, a).
-
-    Positive values are violations.  With ``exclude`` set, transitions into
-    that state are left out of the sum (the truncated inequality).
-    """
+    Positive values are violations."""
     table = mdp.packed
     mu = np.asarray(mu, dtype=float)
-    # a product with +0.0 leaves the in-order row sums as without the column
-    x = mu if exclude is None else np.where(np.arange(len(mu)) == exclude, 0.0, mu)
-    return float(np.max(1.0 + table.R @ x - mu[table.owner]))
+    return float(np.max(1.0 + table.R @ mu - mu[table.owner]))
 
 
 def _evaluate(table: PackedMdp, rows: np.ndarray):
@@ -235,7 +228,7 @@ def mu_value_iteration(
     for iteration in range(1, max_iter + 1):
         nxt = table.state_max(1.0 + table.R @ u)
         if not np.all(nxt >= u):
-            raise RuntimeError("lifetime iterates must be nondecreasing")
+            raise NumericalError("lifetime iterates must be nondecreasing")
         delta = float(np.max(nxt - u))
         u = nxt
         if delta < tol:
@@ -278,9 +271,7 @@ def check_ht(mdp: RateMdp, ell: int):
     Returns an HtCertificate (mu of the truncated problem, K* = max mu) or
     the NonTransienceWitness of a policy that avoids ``ell`` forever.
     """
-    if not 0 <= ell < mdp.n_states:
-        raise ValueError(f"state index {ell} out of range")
-    result = _maximize_lifetime(mdp.packed.without_column(ell))
+    result = _maximize_lifetime(truncate_at_state(mdp, ell).packed)
     if isinstance(result, NonTransienceWitness):
         return result
     return HtCertificate(ell=ell, K_star=result.K, mu=result.mu)

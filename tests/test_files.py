@@ -31,10 +31,12 @@ from mdpreduce import (
     Substochastic,
     build_hv,
     check_discounted,
+    dump_discounted,
     dumps_discounted,
     dumps_instance,
     emit_lp,
     gen_transient,
+    load_discounted,
     load_instance,
     loads_discounted,
     loads_instance,
@@ -222,6 +224,17 @@ class TestWritersMatchJsonDumps:
         doc = '{"states": 1, "actions": [[{"cost": 3, "transitions": [{"to": 0, "rate": 0}]}]]}'
         want = {"states": 1, "actions": [[{"cost": 3.0, "transitions": [{"to": 0, "rate": 0.0}]}]]}
         assert dumps_instance(loads_instance(doc)) == reference_text(want)
+
+
+class TestDiscountedFiles:
+    def test_dump_and_load_round_trip(self, tmp_path):
+        spec = GenSpec(n_states=9, max_actions=3, rate_class=Substochastic((0.2, 0.4)), seed=5)
+        mdp = gen_transient(spec)
+        dmdp = build_hv(mdp, maximize_lifetime(mdp))
+        text, path = dumps_discounted(dmdp), tmp_path / "reduced.json"
+        dump_discounted(dmdp, path)
+        assert path.read_bytes() == text.encode("utf-8")
+        assert dumps_discounted(load_discounted(path)) == text
 
 
 class TestTableBacked:

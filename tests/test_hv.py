@@ -11,6 +11,7 @@ from mdpreduce import (
     ReductionOrigin,
     StationaryPolicy,
     Substochastic,
+    TransienceCertificate,
     brute_force_total,
     build_hv,
     check_discounted,
@@ -32,6 +33,7 @@ from mdpreduce import (
 )
 from mdpreduce._linalg import solve as lu_solve
 from mdpreduce.model import RateClass
+from mdpreduce.transience import CLAMP_TOL
 from conftest import build_mdp
 
 
@@ -139,6 +141,21 @@ class TestBuildHv:
         cert = maximize_lifetime(geometric)
         with pytest.raises(CertificateError):
             build_hv(other, cert)
+
+    def test_round_off_negative_sink_mass_is_clamped(self, geometric):
+        # mu = 2 - 1e-13 sits just below the exact lifetime 2, so the sink's
+        # mass 1 - 0.5 mu / (beta mu) comes out near -5e-14, in the clamp band
+        m = 2.0 - 1e-13
+        beta = (m - 1.0) / m
+        assert -CLAMP_TOL <= 1.0 - 0.5 * m / (beta * m) < 0.0
+        dmdp = build_hv(geometric, TransienceCertificate(mu=[m], K=m, method="hand"))
+        assert dmdp.base.actions[0][0].transitions == ((0, 1.0),)
+
+    def test_genuinely_negative_sink_mass_raises(self, geometric):
+        m = 2.0 - 1e-10
+        message = "transformed probability -5.000e-11 at (0, a0) is genuinely negative; "
+        with pytest.raises(CertificateError, match=re.escape(message)):
+            build_hv(geometric, TransienceCertificate(mu=[m], K=m, method="hand"))
 
     def test_rows_stochastic_across_beta_grid(self):
         for seed in range(10):

@@ -6,6 +6,7 @@ from mdpreduce import (
     AverageSolution,
     GenSpec,
     HtCertificate,
+    NumericalError,
     StationaryPolicy,
     Stochastic,
     Substochastic,
@@ -25,6 +26,7 @@ from mdpreduce import (
     verify_acoe,
 )
 from mdpreduce import solve
+from mdpreduce.cli import main
 
 from conftest import build_mdp
 
@@ -231,8 +233,20 @@ class TestCrossCheck:
         bare = verify_acoe(mdp, solution, tol=1e-3, cross_check=False)
         assert bare.max_residual <= 1e-3
         assert bare.optimal_actions == ((0,), (0,))
-        with pytest.raises(AssertionError, match=r"\[\(0,\), \(0,\)\] vs \[\(0,\), \(0, 1\)\]"):
+        with pytest.raises(NumericalError, match=r"\[\(0,\), \(0,\)\] vs \[\(0,\), \(0, 1\)\]"):
             verify_acoe(mdp, solution, tol=1e-3)
+
+    def test_the_cli_reports_a_disagreement_as_an_error(self, capsys, tmp_path):
+        # value iteration at tol 1e-2 leaves an action in the ACOE set at
+        # state 1 that the exact reduction's set does not hold
+        path = str(tmp_path / "a.json")
+        assert main(["gen", "--kind", "ht", "--states", "20", "--max-actions", "3",
+                     "--seed", "5", "-o", path]) == 0
+        code = main(["solve-average", path, "--state", "0", "--method", "vi", "--tol", "1e-2"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ACOE optimal-action sets disagree with the discounted ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("delta", [0.5e-9, 1.5e-9, 2.5e-9])
     def test_the_sets_are_compared_at_the_acoe_scale(self, delta):

@@ -467,19 +467,3 @@ class TestKrylovLifetime:
         # two applications of I - beta P per full iteration
         assert applied == [2 * _linalg.KRYLOV_MAXITER] and calls["lu"] == 1
         assert np.array_equal(x, on_lu(monkeypatch, evaluate, instance, phi))
-
-
-class TestMaskedCertificateResidual:
-    def test_same_bits_as_on_the_truncated_table(self):
-        # certificate_residual zeroes mu(ell) instead of dropping the column
-        rng = np.random.default_rng(5)
-        for seed, n in ((1, 3), (2, 6), (3, 15), (4, 40)):
-            mdp = gen_ht(GenSpec(n_states=n, max_actions=3, density=0.6,
-                                 rate_class=Stochastic(), seed=seed), 0, alpha=0.2)
-            for mu in (check_ht(mdp, 0).mu, rng.uniform(1.0, 10.0, n),
-                       rng.uniform(1.0, 1e6, n)):
-                for ell in range(-1, n + 1):
-                    cut = mdp.packed.without_column(ell)
-                    expected = float(np.max(1.0 + cut.R @ mu - mu[cut.owner]))
-                    got = certificate_residual(mdp, mu, exclude=ell)
-                    assert got.hex() == expected.hex()
