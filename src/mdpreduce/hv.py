@@ -81,9 +81,9 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
     """Raise ValueError unless every DiscountedMdp invariant holds:
     probability rows (a valid rate MDP, so nonnegative, summing to 1 within
     1e-12), a single cost-free absorbing action at the absorbing state,
-    beta in [0, 1), and an origin that fits the instance: one finite
-    ``mu`` entry >= 1 (within the certificate slack) per state but the
-    sink, and an ``ell`` among those states."""
+    beta in [0, 1), and an origin that fits the instance: the sink last,
+    one finite ``mu`` entry >= 1 (within the certificate slack) per state
+    but the sink, and an ``ell`` among those states."""
     base = dmdp.base
     if not 0.0 <= dmdp.beta < 1.0:
         raise ValueError(f"discount factor {dmdp.beta} outside [0, 1)")
@@ -91,6 +91,8 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
         raise ValueError(f"absorbing state {dmdp.absorbing_state} out of range")
     origin, n = dmdp.origin, base.n_states - 1  # the states but the sink
     if origin is not None:
+        if dmdp.absorbing_state != n:
+            raise ValueError(f"a reduction's absorbing state must be its last state, {n}")
         if origin.mu.shape != (n,):
             raise ValueError(f"origin mu has {origin.mu.size} entries for {n} states")
         if not np.all(np.isfinite(origin.mu) & (origin.mu >= 1.0 - CERT_SLACK)):
@@ -132,7 +134,7 @@ def admissible_beta(mdp: RateMdp, mu: np.ndarray, K: float, beta: float | None) 
         )
     low = (K - 1.0) / K
     beta = low if beta is None else float(beta)
-    if beta < low or beta >= 1.0:
+    if not low <= beta < 1.0:
         raise ValueError(
             f"discount factor {beta} outside the admissible interval [{low}, 1)"
         )
@@ -145,11 +147,12 @@ def rescale(
     """The discounted instance of either reduction, for a certificate ``mu``
     and a discount factor ``beta`` that :func:`admissible_beta` accepted.
 
-    Costs become c/mu and rates D(1/(beta mu)) Q D(mu), without the rates
-    into ``ell`` when it is given.  Each row keeps its targets in order,
-    then (with ``ell``) the lifetime surplus into ``ell``, then the sink.
-    At beta = 0 every row goes straight to the sink.  Probabilities that
-    are exactly zero are dropped; those in [-1e-12, 0) are round-off,
+    Costs become c/mu and rates D(1/(beta mu)) Q D(mu).  With ``ell``
+    given, ``mdp`` must have no rates into ``ell``, as
+    :func:`truncate_at_state` leaves it.  Each row keeps its targets in
+    order, then (with ``ell``) the lifetime surplus into ``ell``, then the
+    sink.  At beta = 0 every row goes straight to the sink.  Probabilities
+    that are exactly zero are dropped; those in [-1e-12, 0) are round-off,
     clamped to zero with their row renormalized; anything more negative
     raises CertificateError.
     """
@@ -165,7 +168,7 @@ def rescale(
 
 
 def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
-    table = mdp.packed if ell is None else mdp.packed.without_column(ell)
+    table = mdp.packed
     n, m = mdp.n_states, len(table.c)
     R = table.R if beta else sparse.csr_matrix((m, n))  # at beta = 0 only the sink
     mu_x, lengths = mu[table.owner], np.diff(R.indptr)

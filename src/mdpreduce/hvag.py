@@ -97,12 +97,13 @@ def verify_acoe(
     Returns the residuals and the optimal-action sets, both cut from one
     gap array, ``w + h(x) - [c(x,a) + sum_y q(y|x,a) h(y)]`` per row: the
     residual at x is its maximum over x's rows, and the set at x its rows
-    within ``tol``.  Raises AcoeResidualError (carrying the residuals) when
-    the worst residual exceeds ``tol`` or a state is left without an
-    action, as a NaN in ``h`` leaves it.  With ``cross_check`` the
-    per-state sets are also checked against the optimal-action sets of the
-    discounted reduction, which requires re-running the reduction
-    pipeline; a disagreement raises NumericalError.
+    within ``tol``.  Raises AcoeResidualError (carrying the residuals)
+    unless the worst residual is within ``tol`` (a NaN in ``h`` is not);
+    then each state's argmin row lies in its set.  With ``cross_check``
+    the sets must also contain the optimal actions of the discounted
+    reduction, which requires re-running the reduction pipeline; a
+    missing one raises NumericalError.  Extra actions pass, as the
+    near-optimal ones of a ``tol``-accurate (w, h) must.
 
     The cross-check rests on the one-step identity of
     :func:`lemma2_identity`: at a non-sink row, with v the optimal
@@ -113,9 +114,9 @@ def verify_acoe(
 
     so the discounted gap is the ACOE gap divided by mu(x).  Hence:
 
-    - the discounted sets are cut where mu(x) |gap| <= tol, the same scale
-      as the ACOE sets; cut at |gap| <= tol, an action whose ACOE gap lies
-      in (tol, mu(x) tol] would land in the discounted set only;
+    - the reduction's optimal rows are those with mu(x) |gap| <= tol, the
+      same scale as the ACOE sets; cut at |gap| <= tol, an action whose
+      ACOE gap lies in (tol, mu(x) tol] would be missing from the ACOE set;
     - Howard's run starts at the ACOE's greedy policy (the lowest-index
       action of each ACOE set, action 0 at the sink).  When (w, h) solves
       the ACOE, that policy is optimal for the reduction, and the run
@@ -131,11 +132,9 @@ def verify_acoe(
     gap = table.gap(sol.w + sol.h, sol.h)
     residuals = table.state_max(gap)
     max_residual = float(np.max(np.abs(residuals)))
-    if max_residual > tol:
+    if not max_residual <= tol:
         raise AcoeResidualError(max_residual, residuals)
     sets = table.action_sets(gap, tol)
-    if any(not members for members in sets):
-        raise AcoeResidualError(max_residual, residuals)
     if cross_check:
         # imported here, by name, so a wrapped solve.howard_pi is the one run
         from .solve import howard_pi
@@ -149,11 +148,9 @@ def verify_acoe(
         start = StationaryPolicy([members[0] for members in sets] + [0])
         v = howard_pi(dmdp, phi0=start).values
         # the sink's row comes last; the rows before it are those of ``table``
-        dgap = dmdp.base.packed.gap(v, v, dmdp.beta)[:-1]
-        discounted_sets = table.action_sets(
-            cert.mu[table.owner] * dgap, tol, "optimality equation"
-        )
-        if discounted_sets != sets:
+        dgap = cert.mu[table.owner] * dmdp.base.packed.gap(v, v, dmdp.beta)[:-1]
+        if np.any((np.abs(dgap) <= tol) & (np.abs(gap) > tol)):
+            discounted_sets = table.action_sets(dgap, tol)
             raise NumericalError(
                 "ACOE optimal-action sets disagree with the discounted "
                 f"reduction's: {sets} vs {discounted_sets}"

@@ -97,13 +97,13 @@ def stationary_distribution(mdp: RateMdp, phi: StationaryPolicy) -> np.ndarray:
     A[-1, :] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    try:
-        return _linalg.solve(A, b, context="stationary distribution")
-    except SingularSystemError:
+    pi = _linalg.try_solve(A, b)
+    if pi is None:
         raise SingularSystemError(
             f"stationary-distribution system singular for policy "
             f"{tuple(phi)}: the chain is not unichain"
-        ) from None
+        )
+    return pi
 
 
 def average_cost_of_policy(mdp: RateMdp, phi: StationaryPolicy) -> float:

@@ -114,12 +114,11 @@ def _finish(dmdp, table, v, rows, iterations, method, tol=ACTION_TOL):
     gap = table.gap(v, v, dmdp.beta)
     residual = float(np.max(np.abs(table.state_max(gap))))
     sets = tuple(table.action_sets(gap, tol, "optimality equation"))
-    choice = table.local[rows].tolist()
-    if not all(a in members for a, members in zip(choice, sets)):
+    if not np.all(np.abs(gap[rows]) <= tol):
         raise NumericalError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
         values=v,
-        policy=StationaryPolicy(choice),
+        policy=StationaryPolicy(table.local[rows].tolist()),
         optimal_actions=sets,
         iterations=iterations,
         bellman_residual=residual,

@@ -161,6 +161,12 @@ class TestSolveTotal:
         assert code == 1
         assert "admissible interval [0.5, 1)" in err
 
+    def test_nan_beta_is_inadmissible(self, capsys, geometric_file):
+        # NaN fails every comparison, so only `not low <= beta < 1` rejects it
+        code, out, err = run(capsys, "solve-total", geometric_file, "--beta", "nan")
+        assert (code, out) == (1, "")
+        assert err == "error: discount factor nan outside the admissible interval [0.5, 1)\n"
+
     def test_non_transient_input(self, capsys, cycle_file):
         code, out, _ = run(capsys, "solve-total", cycle_file)
         assert code == 2

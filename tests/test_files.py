@@ -446,6 +446,20 @@ class TestDiscountedHeader:
         dmdp = loads_discounted(discounted_doc(kind="hvag", ell=3))
         assert dmdp.origin.kind == "hvag" and dmdp.origin.ell == 3
 
+    def test_a_reduction_whose_sink_is_not_last_is_rejected(self):
+        # states 0 and 4 swapped: the lift reads the sink's value at the last
+        # state, so only a discounted file without an origin may do this
+        obj = json.loads(discounted_doc())
+        actions = obj["actions"]
+        actions[0], actions[4] = actions[4], actions[0]
+        for entry in (t for acts in actions for act in acts for t in act["transitions"]):
+            entry["to"] = {0: 4, 4: 0}.get(entry["to"], entry["to"])
+        obj["discounted"]["absorbing_state"] = 0
+        with pytest.raises(ValueError, match=r"^a reduction's absorbing state must be its last state, 4$"):
+            loads_discounted(json.dumps(obj))
+        obj["discounted"]["origin"] = None
+        assert loads_discounted(json.dumps(obj)).absorbing_state == 0
+
     def test_check_discounted_rejects_an_origin_state_at_the_sink(self):
         dmdp = loads_discounted(discounted_doc())
         with pytest.raises(ValueError, match=r"^origin state 4 out of range$"):

@@ -71,6 +71,13 @@ BROKEN_INVARIANTS = {
         {"base": build_mdp([[(1.0, [(1, 1.0)])], [(1.0, [(1, 1.0)])]])},
         "absorbing state must have exactly one cost-free action",
     ),
+    "sink leaving itself": (
+        {"base": build_mdp([[(1.0, [(1, 1.0)])], [(0.0, [(0, 1.0)])]])},
+        "absorbing state must transition to itself with probability 1",
+    ),
+    "reduction's sink not last": (
+        {"absorbing_state": 0}, "a reduction's absorbing state must be its last state, 1"
+    ),
 }
 
 
@@ -135,6 +142,24 @@ class TestBuildHv:
         cert = maximize_lifetime(geometric)
         with pytest.raises(ValueError):
             build_hv(geometric, cert, beta=1.0)
+
+    def test_nan_beta_rejected_with_the_admissible_interval(self, geometric):
+        cert = maximize_lifetime(geometric)
+        with pytest.raises(ValueError, match=r"^discount factor nan outside the admissible"):
+            build_hv(geometric, cert, beta=float("nan"))
+
+    @pytest.mark.parametrize(
+        "mu, K, message",
+        [
+            ([2.0, 2.0], 2.0, "certificate has 2 entries for 1 states"),
+            ([0.5], 2.0, "certificate mu outside [1, K]"),
+            ([2.0], 1.5, "certificate mu outside [1, K]"),
+        ],
+    )
+    def test_certificate_that_does_not_fit_rejected(self, geometric, mu, K, message):
+        cert = TransienceCertificate(mu=mu, K=K, method="hand")
+        with pytest.raises(CertificateError, match=f"^{re.escape(message)}$"):
+            build_hv(geometric, cert)
 
     def test_stale_certificate_rejected(self, geometric, mk):
         other = mk([[(1.0, [(0, 0.9)])]])

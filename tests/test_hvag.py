@@ -25,7 +25,7 @@ from mdpreduce import (
     stationary_distribution,
     verify_acoe,
 )
-from mdpreduce import solve
+from mdpreduce import dump_instance, pipelines, solve
 from mdpreduce.cli import main
 
 from conftest import build_mdp
@@ -156,6 +156,19 @@ class TestVerifyAcoe:
             verify_acoe(two_cycle, solution, tol=1e-9, cross_check=False)
         assert exc_info.value.max_residual == pytest.approx(0.1, abs=1e-12)
 
+    def test_nan_in_h_is_a_residual_error(self, two_cycle):
+        solution = AverageSolution(w=1.0, h=[0.0, float("nan")], ell=0)
+        with pytest.raises(AcoeResidualError):
+            verify_acoe(two_cycle, solution, tol=1e-9)
+
+    def test_a_state_that_is_no_longer_reached_is_named(self, mk):
+        # (w, h) = (1, 0) solves the ACOE, but state 1 never reaches ell = 0
+        mdp = mk([[(1.0, [(0, 1.0)])], [(1.0, [(1, 1.0)])]])
+        solution = AverageSolution(w=1.0, h=[0.0, 0.0], ell=0)
+        assert verify_acoe(mdp, solution, tol=1e-9, cross_check=False).max_residual == 0.0
+        with pytest.raises(ValueError, match="^bounded hitting time to state 0 no longer certifiable$"):
+            verify_acoe(mdp, solution, tol=1e-9)
+
     def test_requires_stochastic_rates(self, geometric):
         solution = AverageSolution(w=0.0, h=[0.0], ell=0)
         with pytest.raises(ValueError, match="stochastic"):
@@ -236,17 +249,29 @@ class TestCrossCheck:
         with pytest.raises(NumericalError, match=r"\[\(0,\), \(0,\)\] vs \[\(0,\), \(0, 1\)\]"):
             verify_acoe(mdp, solution, tol=1e-3)
 
-    def test_the_cli_reports_a_disagreement_as_an_error(self, capsys, tmp_path):
-        # value iteration at tol 1e-2 leaves an action in the ACOE set at
-        # state 1 that the exact reduction's set does not hold
+    def test_the_cli_reports_a_disagreement_as_an_error(self, monkeypatch, capsys, tmp_path):
+        # the shifted (w, h) of test_disagreeing_sets_raise, in place of the
+        # solver's, at the ACOE tolerance 100 tol = 1e-3
         path = str(tmp_path / "a.json")
-        assert main(["gen", "--kind", "ht", "--states", "20", "--max-actions", "3",
-                     "--seed", "5", "-o", path]) == 0
-        code = main(["solve-average", path, "--state", "0", "--method", "vi", "--tol", "1e-2"])
+        dump_instance(tie_at_state_1(2.0, 2.0 + 5e-4), path)
+        low = 4.0 / 3.0 - 6e-4
+        shifted = AverageSolution(w=low, h=[0.0, low], ell=0)
+        monkeypatch.setattr(pipelines, "extract_average_solution", lambda dv, cert: shifted)
+        code = main(["solve-average", path, "--state", "0", "--method", "vi", "--tol", "1e-5"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.startswith("error: ACOE optimal-action sets disagree with the discounted ")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("seed", [5, 7, 15, 38])
+    def test_value_iteration_sets_contain_the_exact_ones(self, seed):
+        # at tol 1e-2 the ACOE sets, cut at 100 tol = 1, hold actions that
+        # the exact reduction's sets do not
+        mdp = gen_ht(GenSpec(20, 3, seed=seed), ell=0)
+        inexact = solve_average_cost(mdp, 0, method="vi", tol=1e-2).acoe.optimal_actions
+        exact = solve_average_cost(mdp, 0).acoe.optimal_actions
+        assert all(set(e) <= set(i) for e, i in zip(exact, inexact, strict=True))
+        assert exact != inexact
 
     @pytest.mark.parametrize("delta", [0.5e-9, 1.5e-9, 2.5e-9])
     def test_the_sets_are_compared_at_the_acoe_scale(self, delta):

@@ -8,6 +8,7 @@ from mdpreduce import (
     GenSpec,
     NonTransientPolicyError,
     RateMdp,
+    SingularSystemError,
     StationaryPolicy,
     Stochastic,
     Substochastic,
@@ -88,6 +89,11 @@ class TestBruteForceAverage:
     def test_single_state_self_loop(self, mk):
         result = brute_force_average(mk([[(7.0, [(0, 1.0)])]]), 0)
         assert result.optimal_value.tolist() == [7.0]
+
+    def test_two_recurrent_classes_are_named(self, mk):
+        mdp = mk([[(1.0, [(0, 1.0)])], [(2.0, [(1, 1.0)])]])
+        with pytest.raises(SingularSystemError, match=r"policy \(0, 0\): the chain is not unichain$"):
+            stationary_distribution(mdp, StationaryPolicy((0, 0)))
 
     def test_requires_stochastic(self, geometric):
         with pytest.raises(ValueError, match="stochastic"):
