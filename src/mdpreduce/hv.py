@@ -269,7 +269,7 @@ def _without_sink(dv: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return dv[:-1]
 
 
-def total_optimal_actions(mdp: RateMdp, v: np.ndarray, tol: float):
+def total_optimal_actions(mdp: RateMdp, v: np.ndarray, tol):
     """Per-state sets of actions optimal for the total-cost criterion:
     those with |v(x) - [c(x,a) + sum_y q(y|x,a) v(y)]| <= tol.
 

@@ -90,20 +90,20 @@ def extract_average_solution(dv: np.ndarray, cert: HtCertificate) -> AverageSolu
 
 
 def verify_acoe(
-    mdp: RateMdp, sol: AverageSolution, tol: float, cross_check: bool = True
+    mdp: RateMdp, sol: AverageSolution, tol, cross_check: bool = True
 ) -> AcoeReport:
-    """Check that (w, h) solves the ACOE within ``tol``.
+    """Check that (w, h) solves the ACOE within ``tol``, a number or a cut.
 
     Returns the residuals and the optimal-action sets, both cut from one
     gap array, ``w + h(x) - [c(x,a) + sum_y q(y|x,a) h(y)]`` per row: the
     residual at x is its maximum over x's rows, and the set at x its rows
     within ``tol``.  Raises AcoeResidualError (carrying the residuals)
-    unless the worst residual is within ``tol`` (a NaN in ``h`` is not);
-    then each state's argmin row lies in its set.  With ``cross_check``
-    the sets must also contain the optimal actions of the discounted
-    reduction, which requires re-running the reduction pipeline; a
-    missing one raises NumericalError.  Extra actions pass, as the
-    near-optimal ones of a ``tol``-accurate (w, h) must.
+    unless each state's residual is within the ``tol`` of its rows (a NaN
+    in ``h`` is not); then each state's argmin row lies in its set.  With
+    ``cross_check`` the sets must also contain the optimal actions of the
+    discounted reduction, which requires re-running the reduction
+    pipeline; a missing one raises NumericalError.  Extra actions pass, as
+    the near-optimal ones of an inexact (w, h) must.
 
     The cross-check rests on the one-step identity of
     :func:`lemma2_identity`: at a non-sink row, with v the optimal
@@ -112,16 +112,13 @@ def verify_acoe(
         v(x) - c'(x,a) - beta sum_y p'(y|x,a) v(y)
             = [w + h(x) - c(x,a) - sum_y q(y|x,a) h(y)] / mu(x),
 
-    so the discounted gap is the ACOE gap divided by mu(x).  Hence:
-
-    - the reduction's optimal rows are those with mu(x) |gap| <= tol, the
-      same scale as the ACOE sets; cut at |gap| <= tol, an action whose
-      ACOE gap lies in (tol, mu(x) tol] would be missing from the ACOE set;
-    - Howard's run starts at the ACOE's greedy policy (the lowest-index
-      action of each ACOE set, action 0 at the sink).  When (w, h) solves
-      the ACOE, that policy is optimal for the reduction, and the run
-      stops after one evaluation; when it is not, Howard goes on from it
-      to the optimum, so the check is as strong as from a cold start.
+    so the discounted gap is the ACOE gap divided by mu(x).  Hence the
+    reduction's optimal rows, cut at the re-run's own bound, are the ACOE
+    optimal rows.  Howard's run starts at the ACOE's greedy policy (the
+    lowest-index action of each ACOE set, action 0 at the sink).  When
+    (w, h) solves the ACOE, that policy is optimal for the reduction, and
+    the run stops after one evaluation; when it is not, Howard goes on
+    from it to the optimum, so the check is as strong as from a cold start.
 
     Only meaningful for stochastic instances (the average-cost criterion
     needs probabilities), which is enforced.
@@ -132,7 +129,7 @@ def verify_acoe(
     gap = table.gap(sol.w + sol.h, sol.h)
     residuals = table.state_max(gap)
     max_residual = float(np.max(np.abs(residuals)))
-    if not max_residual <= tol:
+    if not np.all(np.abs(residuals) <= table.state_min(np.broadcast_to(tol, gap.shape))):
         raise AcoeResidualError(max_residual, residuals)
     sets = table.action_sets(gap, tol)
     if cross_check:
@@ -146,11 +143,13 @@ def verify_acoe(
             )
         dmdp = build_hvag(mdp, cert)
         start = StationaryPolicy([members[0] for members in sets] + [0])
-        v = howard_pi(dmdp, phi0=start).values
+        report = howard_pi(dmdp, phi0=start)
+        v, dtable, beta = report.values, dmdp.base.packed, dmdp.beta
         # the sink's row comes last; the rows before it are those of ``table``
-        dgap = cert.mu[table.owner] * dmdp.base.packed.gap(v, v, dmdp.beta)[:-1]
-        if np.any((np.abs(dgap) <= tol) & (np.abs(gap) > tol)):
-            discounted_sets = table.action_sets(dgap, tol)
+        dgap = dtable.gap(v, v, beta)[:-1]
+        dcut = dtable.cut(v, v, beta, (1.0 + beta) * report.error_bound)[:-1]
+        if np.any((np.abs(dgap) <= dcut) & ~(np.abs(gap) <= tol)):
+            discounted_sets = table.action_sets(dgap, dcut)
             raise NumericalError(
                 "ACOE optimal-action sets disagree with the discounted "
                 f"reduction's: {sets} vs {discounted_sets}"

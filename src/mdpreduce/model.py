@@ -188,6 +188,15 @@ class PackedMdp:
         (rounding is monotone), and its rows near zero the optimal actions."""
         return lhs[self.owner] - self.bellman(v, beta)
 
+    def cut(self, lhs: np.ndarray, v: np.ndarray, beta: float, bound) -> np.ndarray:
+        """The per-row cut for ``gap(lhs, v, beta)``: ``bound`` (a number or
+        one per state) plus each state's largest row round-off, ``(k + 2) eps
+        (|lhs(x)| + |c| + beta R|v|)``, ``k`` the row's nonzeros (rates are
+        nonnegative, so ``R|v|`` is one mat-vec)."""
+        size = np.abs(lhs)[self.owner] + np.abs(self.c) + beta * (self.R @ np.abs(v))
+        slack = (np.diff(self.R.indptr) + 2) * np.finfo(float).eps * size
+        return (bound + self.state_max(slack))[self.owner]
+
     def state_min(self, q: np.ndarray) -> np.ndarray:
         """Minimum of ``q`` (m,) over each state's rows."""
         return np.minimum.reduceat(q, self.first[:-1])
@@ -208,19 +217,20 @@ class PackedMdp:
             raise IndexError(f"action index {a} out of range at state {x}")
         return int(self.first[x] + a)
 
-    def action_sets(self, gap: np.ndarray, tol: float, equation: str | None = None):
-        """Per state, the action indices of the rows with |gap| <= tol, as a
-        list of tuples.  With ``equation`` named, a state left without one
-        raises ValueError.  The sets are cut in one pass from a single list
-        of hit actions, at each state's bound in the sorted hit rows."""
+    def action_sets(self, gap: np.ndarray, tol, equation: str | None = None):
+        """Per state, the action indices of the rows with |gap| <= tol (a
+        number or one per row), as a list of tuples.  With ``equation``
+        named, a state left without one raises ValueError.  One pass cuts
+        the sets at each state's bound in the sorted hit rows."""
         hits = np.flatnonzero(np.abs(gap) <= tol)
         bounds = np.searchsorted(hits, self.first)
         if equation is not None:
             empty = np.flatnonzero(bounds[1:] == bounds[:-1])
             if empty.size:
+                x = empty[0]
                 raise ValueError(
-                    f"no action within {tol} at state {empty[0]}; v does not solve the "
-                    f"{equation} at this tolerance"
+                    f"no action within {np.broadcast_to(tol, gap.shape)[self.first[x]]} at state "
+                    f"{x}; v does not solve the {equation} at this tolerance"
                 )
         actions, bounds = self.local[hits].tolist(), bounds.tolist()
         return [tuple(actions[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]

@@ -21,7 +21,7 @@ from .hvag import (
     verify_acoe,
 )
 from .model import RateClass, RateMdp, StationaryPolicy, classify_rates
-from .solve import ACTION_TOL, SolveReport, solve
+from .solve import SolveReport, solve
 from .transience import (
     HtCertificate,
     NonTransienceWitness,
@@ -62,25 +62,23 @@ def solve_total_cost(
 ):
     """Check transience, reduce to a discounted instance, solve it, and lift
     the solution back.  Returns a TotalCostSolution, or the
-    NonTransienceWitness when the instance is not transient.  The
-    total-cost optimal-action sets are cut at ACTION_TOL, or at the
-    value-iteration tolerance when that is larger, as the solver's own."""
+    NonTransienceWitness when the instance is not transient.  A total-cost
+    gap is ``mu(x)`` times the discounted one, so the total-cost sets are cut
+    at ``mu`` times the solver's bound."""
     cert = maximize_lifetime(mdp)
     if isinstance(cert, NonTransienceWitness):
         return cert
     dmdp = build_hv(mdp, cert, beta=beta)
     report = solve(dmdp, method=method, **solver_kwargs)
     values = lift_total_value(report.values, cert.mu)
-    action_tol = ACTION_TOL
-    if method == "vi":
-        action_tol = max(action_tol, solver_kwargs.get("tol", action_tol))
+    cut = mdp.packed.cut(values, values, 1.0, cert.mu * (1.0 + dmdp.beta) * report.error_bound)
     return TotalCostSolution(
         certificate=cert,
         discounted=dmdp,
         report=report,
         values=values,
         policy=StationaryPolicy(tuple(report.policy)[: mdp.n_states]),
-        optimal_actions=tuple(total_optimal_actions(mdp, values, action_tol)),
+        optimal_actions=tuple(total_optimal_actions(mdp, values, cut)),
     )
 
 
@@ -97,9 +95,8 @@ def solve_average_cost(
     policy avoids ``ell``.
 
     Requires stochastic rates (the average-cost correspondence needs
-    probabilities).  The ACOE verification tolerance is 1e-9 for the exact
-    policy-iteration solvers and loosens with the value-iteration tolerance
-    otherwise.
+    probabilities).  An ACOE gap is ``mu(x)`` times the discounted one, so
+    the ACOE is checked at ``mu`` times the solver's bound.
     """
     if classify_rates(mdp) is not RateClass.STOCHASTIC:
         raise ValueError("the average-cost pipeline requires stochastic rates")
@@ -109,10 +106,9 @@ def solve_average_cost(
     dmdp = build_hvag(mdp, cert, beta=beta)
     report = solve(dmdp, method=method, **solver_kwargs)
     solution = extract_average_solution(report.values, cert)
-    acoe_tol = 1e-9
-    if method == "vi":
-        acoe_tol = max(acoe_tol, 100.0 * solver_kwargs.get("tol", 1e-10))
-    acoe = verify_acoe(mdp, solution, tol=acoe_tol)
+    bound = cert.mu * (1.0 + dmdp.beta) * report.error_bound
+    cut = mdp.packed.cut(solution.w + solution.h, solution.h, 1.0, bound)
+    acoe = verify_acoe(mdp, solution, tol=cut)
     return AverageCostSolution(
         certificate=cert,
         discounted=dmdp,

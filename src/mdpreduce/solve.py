@@ -32,13 +32,10 @@ from .model import StationaryPolicy, _check_budget, _policy_iteration
 #: floating-point ties.
 IMPROVE_TOL = 1e-12
 
-#: Membership tolerance for reported optimal-action sets.
-ACTION_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Result of one solver run on one discounted instance."""
+    """One solver run; ``error_bound`` bounds ``max|values - v*|``."""
 
     values: np.ndarray
     policy: StationaryPolicy
@@ -46,6 +43,7 @@ class SolveReport:
     iterations: int
     bellman_residual: float
     method: str
+    error_bound: float
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -107,14 +105,17 @@ def optimal_actions(dmdp: DiscountedMdp, v: np.ndarray, tol: float):
     return table.action_sets(table.gap(v, v, dmdp.beta), tol, "optimality equation")
 
 
-def _finish(dmdp, table, v, rows, iterations, method, tol=ACTION_TOL):
+def _finish(dmdp, table, v, rows, iterations, method):
     """The report of a run that stopped at values ``v`` with the policy
     whose packed rows are ``rows``: the one place a solver builds its
-    StationaryPolicy.  One gap array gives the residual and the sets."""
+    StationaryPolicy.  One gap array gives the residual r and the sets,
+    cut at ``(1 + beta) e``, ``e = r / (1 - beta)`` (MacQueen's test)."""
     gap = table.gap(v, v, dmdp.beta)
     residual = float(np.max(np.abs(table.state_max(gap))))
-    sets = tuple(table.action_sets(gap, tol, "optimality equation"))
-    if not np.all(np.abs(gap[rows]) <= tol):
+    error_bound = residual / (1.0 - dmdp.beta)
+    cut = table.cut(v, v, dmdp.beta, (1.0 + dmdp.beta) * error_bound)
+    sets = tuple(table.action_sets(gap, cut, "optimality equation"))
+    if not np.all(np.abs(gap[rows]) <= cut[rows]):
         raise NumericalError("returned policy must lie in the reported optimal-action sets")
     return SolveReport(
         values=v,
@@ -123,6 +124,7 @@ def _finish(dmdp, table, v, rows, iterations, method, tol=ACTION_TOL):
         iterations=iterations,
         bellman_residual=residual,
         method=method,
+        error_bound=error_bound,
     )
 
 
@@ -137,11 +139,8 @@ def value_iteration(
     are within ``tol`` of the fixed point.  At beta = 0 one application is
     exact.  Successive increments must shrink by a factor of beta
     (contraction), which is checked each iteration, up to round-off of
-    1e-15 max(1, |v|).  Only the last sweep takes the greedy actions, from
-    the same q as its minimum.  The optimal-action sets are cut at
-    max(ACTION_TOL, tol), since the values are only ``tol``-accurate: the
-    greedy row's gap is beta P (v_prev - v), at most tol (1 - beta) / 2.
-    A bad ``tol``, ``max_iter`` or ``v0`` raises ValueError.
+    1e-15 max(1, |v|).  The policy is greedy at the returned values.  A
+    bad ``tol``, ``max_iter`` or ``v0`` raises ValueError.
     """
     _check_budget(tol, max_iter)
     beta = dmdp.beta
@@ -163,11 +162,8 @@ def value_iteration(
             raise NumericalError("optimality operator failed to contract")
         v, previous_delta = tv, delta
         if delta <= threshold:
-            _, greedy = table.state_argmin(q)
-            rows = table.first[:-1] + greedy
-            return _finish(
-                dmdp, table, v, rows, iteration, "value-iteration", max(ACTION_TOL, tol)
-            )
+            rows = table.first[:-1] + table.state_argmin(table.bellman(v, beta))[1]
+            return _finish(dmdp, table, v, rows, iteration, "value-iteration")
     raise NotConvergedWithinBudget(
         f"value iteration still moving by {previous_delta:.3g} after {max_iter} iterations"
     )
@@ -247,8 +243,7 @@ def solve(dmdp: DiscountedMdp, method: str = "howard", **kwargs) -> SolveReport:
 
     Each reports from one gap v(x) - [c(x,a) + beta sum_y p(y|x,a) v(y)] per
     row: ``bellman_residual`` is max_x |max_a gap|, and ``optimal_actions``
-    the rows with |gap| <= ACTION_TOL, or max(ACTION_TOL, tol) for value
-    iteration, whose values are only ``tol``-accurate.
+    the rows within ``PackedMdp.cut`` of ``(1 + beta) error_bound``.
     """
     try:
         solver = METHODS[method]

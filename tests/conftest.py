@@ -27,6 +27,22 @@ def build_mdp(actions, labels=None):
     return RateMdp(**instance_fields(actions, labels))
 
 
+def mm1n_queue(capacity, arrival=0.8, service=1.0):
+    """The uniformized M/M/1/N queue: states 0..``capacity``, one action
+    each, holding cost x, up with probability arrival / (arrival + service)
+    and down with service / (arrival + service), a blocked move staying
+    put.  Its average cost is sum_x x pi(x), pi proportional to
+    (arrival / service)^x."""
+    rate = arrival + service
+    up, down = arrival / rate, service / rate
+    return build_mdp(
+        [
+            [(float(x), [(max(x - 1, 0), down), (min(x + 1, capacity), up)])]
+            for x in range(capacity + 1)
+        ]
+    )
+
+
 @pytest.fixture
 def mk():
     return build_mdp

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from mdpreduce import (
     stationary_distribution,
     verify_acoe,
 )
-from mdpreduce import dump_instance, pipelines, solve
+from mdpreduce import dump_instance, solve
 from mdpreduce.cli import main
 
 from conftest import build_mdp
@@ -237,11 +239,12 @@ class TestCrossCheck:
         assert np.array_equal(report.values, cold.values)
 
     def test_disagreeing_sets_raise(self):
-        # w and h(1) both low by 6e-4: the residual stays within tol = 1e-3,
-        # but action 1 at state 1 (ACOE gap 5e-4 at the exact solution)
-        # moves to 1.4e-3 and leaves the ACOE set, not the reduction's
-        mdp = tie_at_state_1(2.0, 2.0 + 5e-4)
-        low = 4.0 / 3.0 - 6e-4
+        # both actions at state 1 are exactly optimal: w = 4, h = (0, 4).
+        # With w and h(1) both low by 6e-4 their ACOE gaps are -9e-4 and
+        # -1.2e-3: the residual stays within tol = 1e-3, but action 1 leaves
+        # the ACOE set, not the reduction's
+        mdp = build_mdp([[(0.0, [(1, 1.0)])], [(6.0, [(0, 0.5), (1, 0.5)]), (8.0, [(0, 1.0)])]])
+        low = 4.0 - 6e-4
         solution = AverageSolution(w=low, h=[0.0, low], ell=0)
         bare = verify_acoe(mdp, solution, tol=1e-3, cross_check=False)
         assert bare.max_residual <= 1e-3
@@ -250,14 +253,17 @@ class TestCrossCheck:
             verify_acoe(mdp, solution, tol=1e-3)
 
     def test_the_cli_reports_a_disagreement_as_an_error(self, monkeypatch, capsys, tmp_path):
-        # the shifted (w, h) of test_disagreeing_sets_raise, in place of the
-        # solver's, at the ACOE tolerance 100 tol = 1e-3
+        # a re-run that claims an error bound of 1 puts both actions at
+        # state 1 in the reduction's set; action 1 (ACOE gap 5e-4) is not in
+        # the ACOE set.  Value iteration solves, so only the re-run is Howard
         path = str(tmp_path / "a.json")
         dump_instance(tie_at_state_1(2.0, 2.0 + 5e-4), path)
-        low = 4.0 / 3.0 - 6e-4
-        shifted = AverageSolution(w=low, h=[0.0, low], ell=0)
-        monkeypatch.setattr(pipelines, "extract_average_solution", lambda dv, cert: shifted)
-        code = main(["solve-average", path, "--state", "0", "--method", "vi", "--tol", "1e-5"])
+        howard = solve.howard_pi
+        monkeypatch.setattr(
+            solve, "howard_pi",
+            lambda dmdp, phi0=None: dataclasses.replace(howard(dmdp, phi0), error_bound=1.0),
+        )
+        code = main(["solve-average", path, "--state", "0", "--method", "vi", "--tol", "1e-8"])
         out, err = capsys.readouterr()
         assert (code, out) == (1, "")
         assert err.startswith("error: ACOE optimal-action sets disagree with the discounted ")
@@ -265,22 +271,34 @@ class TestCrossCheck:
 
     @pytest.mark.parametrize("seed", [5, 7, 15, 38])
     def test_value_iteration_sets_contain_the_exact_ones(self, seed):
-        # at tol 1e-2 the ACOE sets, cut at 100 tol = 1, hold actions that
-        # the exact reduction's sets do not
+        # at tol 1e-2 the ACOE sets of value iteration hold every exactly
+        # optimal action and no certainly suboptimal one: an action in them
+        # has a gap within its row's cut at VI's (w, h), and the exact gap
+        # lies within that cut's bound of it, so within twice the cut
         mdp = gen_ht(GenSpec(20, 3, seed=seed), ell=0)
-        inexact = solve_average_cost(mdp, 0, method="vi", tol=1e-2).acoe.optimal_actions
-        exact = solve_average_cost(mdp, 0).acoe.optimal_actions
-        assert all(set(e) <= set(i) for e, i in zip(exact, inexact, strict=True))
-        assert exact != inexact
+        vi = solve_average_cost(mdp, 0, method="vi", tol=1e-2)
+        exact = solve_average_cost(mdp, 0)
+        inexact = vi.acoe.optimal_actions
+        assert all(
+            set(e) <= set(i) for e, i in zip(exact.acoe.optimal_actions, inexact, strict=True)
+        )
+        table, sol = mdp.packed, vi.solution
+        bound = vi.certificate.mu * (1.0 + vi.discounted.beta) * vi.report.error_bound
+        cut = table.cut(sol.w + sol.h, sol.h, 1.0, bound)
+        w, h = exact.solution.w, exact.solution.h
+        rows = [table.first[x] + a for x, members in enumerate(inexact) for a in members]
+        assert np.all(np.abs(table.gap(w + h, h)[rows]) <= 2.0 * cut[rows])
 
-    @pytest.mark.parametrize("delta", [0.5e-9, 1.5e-9, 2.5e-9])
+    @pytest.mark.parametrize("delta", [0.0, 0.5e-9, 1.5e-9, 2.5e-9])
     def test_the_sets_are_compared_at_the_acoe_scale(self, delta):
         # the discounted gap of action 1 at state 1 is delta / mu(1) =
-        # delta / 2; compared unscaled, 1.5e-9 put it in the reduction's set
-        # only, and a valid instance raised
+        # delta / 2.  The certified cut is round-off here, so every delta > 0
+        # marks action 1 suboptimal in both sets, and the exact tie keeps it
+        # in both; compared unscaled at 1e-9, 1.5e-9 put it in the
+        # reduction's set only, and a valid instance raised
         result = solve_average_cost(tie_at_state_1(2.0, 2.0 + delta), 0)
         assert result.certificate.mu.tolist() == [3.0, 2.0]
-        expected = ((0,), (0, 1)) if delta < 1e-9 else ((0,), (0,))
+        expected = ((0,), (0, 1)) if delta == 0.0 else ((0,), (0,))
         assert result.acoe.optimal_actions == expected
 
 

@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 
 import mdpreduce
 from mdpreduce import (
+    AcoeResidualError,
     ActionData,
+    AverageSolution,
     GenSpec,
     NegativeInverseEntry,
     NonTransienceWitness,
@@ -32,8 +34,11 @@ from mdpreduce import (
     gen_transient,
     maximize_lifetime,
     policy_spectral_radius,
+    solve_average_cost,
+    verify_acoe,
 )
 from mdpreduce.solve import solve
+from conftest import mm1n_queue
 
 TIMEOUT_S = 60
 
@@ -152,6 +157,34 @@ class TestSolveTotalCostAtLargeK:
         assert K == pytest.approx(1e6, rel=1e-9)
         assert 1e-9 < cert <= 1e-12 * K
         assert residual <= 1e-12 * max(scale, 1.0)
+
+
+class TestAverageCostAtLargeK:
+    """The M/M/1/N queue: h grows with K*, and so does the ACOE residual's
+    round-off (3.7e-9 at N = 1,500 and 1.5e-8 at N = 3,000), which a fixed
+    1e-9 check took for a violation."""
+
+    @pytest.fixture(scope="class", params=[1500, 3000])
+    def queue(self, request):
+        mdp = mm1n_queue(request.param)
+        return mdp, solve_average_cost(mdp, 0)
+
+    def test_w_is_the_closed_form(self, queue):
+        mdp, result = queue
+        x = np.arange(mdp.n_states)
+        pi = 0.8**x / np.sum(0.8**x)
+        assert result.solution.w == pytest.approx(float(x @ pi), rel=1e-13, abs=0.0)
+
+    def test_h_shifted_past_its_cut_fails(self, queue):
+        mdp, result = queue
+        sol = result.solution
+        bound = result.certificate.mu * (1.0 + result.discounted.beta) * result.report.error_bound
+        cut = mdp.packed.cut(sol.w + sol.h, sol.h, 1.0, bound)
+        x = int(np.argmax(cut))
+        h = sol.h.copy()
+        h[x] += 2.0 * cut[x]
+        with pytest.raises(AcoeResidualError):
+            verify_acoe(mdp, AverageSolution(sol.w, h, 0), tol=cut)
 
 
 def test_vi_raises_when_out_of_iterations():

@@ -137,8 +137,8 @@ class TestValueIteration:
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-4])
     def test_sets_are_cut_at_the_solver_tolerance(self, tol):
-        # the values are only tol-accurate, so the sets are cut at
-        # max(ACTION_TOL, tol): a cut at 1e-8 leaves states without an action
+        # the values are only tol-accurate, so the sets are cut at their
+        # certified bound, (1 + beta) error_bound plus round-off
         for seed in range(8):
             mdp = gen_transient(loose_vi_spec(seed))
             vi = solve_total_cost(mdp, method="vi", tol=tol)
@@ -146,11 +146,11 @@ class TestValueIteration:
             assert np.max(np.abs(vi.report.values - exact.report.values)) <= tol / 2
             for result in (vi.report, vi):
                 assert all(a in acts for a, acts in zip(result.policy, result.optimal_actions))
-            # an action with an exact gap under (1 - beta) tol / 2 has a gap under tol here
+            # every exactly optimal action stays in the sets
             for got, ref in zip(vi.report.optimal_actions, exact.report.optimal_actions):
                 assert set(ref) <= set(got)
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4, 1e-2, 1e-1])
     def test_average_cost_reaches_its_loosened_acoe_check(self, tol):
         for seed in range(8):
             mdp = gen_ht(GenSpec(n_states=20, max_actions=3, seed=seed), ell=0)
@@ -158,6 +158,25 @@ class TestValueIteration:
             exact = solve_average_cost(mdp, 0)
             assert abs(vi.solution.w - exact.solution.w) <= tol / 2
             assert vi.acoe.max_residual <= 100.0 * tol
+
+    def test_the_policy_is_greedy_at_the_returned_values(self):
+        # from this start the sweep picks action 0 at state 2 (0.5 * 0.38 <
+        # 0.2), whose gap at the returned values, -0.06, lies past the
+        # certified cut 0.03; action 1, greedy at those values, lies in it
+        dmdp = make_discounted(
+            [
+                [(1.0, [(3, 1.0)])],
+                [(0.0, [(0, 1.0)])],
+                [(0.0, [(1, 1.0)]), (0.2, [(3, 1.0)])],
+                [(0.0, [(3, 1.0)])],
+            ],
+            beta=0.5,
+        )
+        report = value_iteration(dmdp, tol=1.0, v0=[1.0, 0.38, 0.19, 0.0])
+        assert report.iterations == 1
+        assert report.error_bound == pytest.approx(0.02)
+        assert tuple(report.policy) == (0, 0, 1, 0)
+        assert report.optimal_actions == ((0,), (0,), (1,), (0,))
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -177,6 +196,26 @@ class TestValueIteration:
         with pytest.raises(ValueError, match=message):
             value_iteration(geometric_hv, **kwargs)
         assert sweeps == []
+
+
+class TestErrorBound:
+    @pytest.mark.parametrize("tol", [1e-1, 1e-3, 1e-6])
+    def test_value_iteration_is_within_its_bound(self, tol):
+        for seed in range(10):
+            mdp = gen_ht(GenSpec(n_states=20, max_actions=3, seed=seed), ell=0)
+            dmdp = build_hvag(mdp, check_ht(mdp, 0))
+            vi, exact = value_iteration(dmdp, tol=tol), howard_pi(dmdp)
+            round_off = 1e-14 * max(1.0, float(np.max(np.abs(exact.values))))
+            assert np.max(np.abs(vi.values - exact.values)) <= vi.error_bound + round_off
+            assert vi.error_bound <= tol / 2
+
+    def test_policy_iteration_bounds_are_finite(self):
+        for seed in range(6):
+            mdp = gen_ht(GenSpec(n_states=12, max_actions=3, seed=seed), ell=0)
+            for dmdp in (hv_instance(seed), build_hvag(mdp, check_ht(mdp, 0))):
+                for solver in (howard_pi, dantzig_pi):
+                    bound = solver(dmdp).error_bound
+                    assert math.isfinite(bound) and bound >= 0.0
 
 
 class TestHowardPi:
