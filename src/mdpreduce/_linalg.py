@@ -3,12 +3,15 @@
 Every policy's system (I - beta P) x = b goes through :func:`solve_policy`;
 only the occupation measure's transposed system does not (see below).
 
-A system with one right-hand side and more than ``DENSE_MAX_N`` states is
-first run through BiCGSTAB, at most ``KRYLOV_MAXITER`` iterations from a
-cold start, which applies I - beta P through the sparse ``P`` alone, so no
-n x n array is built.  The loop is this module's own :func:`_bicgstab`,
-which repeats scipy's unpreconditioned ``bicgstab`` step for step and so
-gives its bits, without its operator and preconditioner layers.  Its
+Each system gathers its policy's rows from the packed table once
+(``PackedMdp.gather``), as CSR arrays.  A system with one right-hand side
+and more than ``DENSE_MAX_N`` states is first run through BiCGSTAB, at
+most ``KRYLOV_MAXITER`` iterations from a cold start, which applies
+I - beta P through those rows alone (scipy's ``csr_matvec``, called
+directly), so no n x n array and no scipy matrix is built.  The loop is
+this module's own :func:`_bicgstab`, which repeats scipy's
+unpreconditioned ``bicgstab`` step for step and so gives its bits,
+without its operator and preconditioner layers.  Its
 answer x must be finite and must come with an a posteriori bound, else the
 system falls back to dense LU:
 
@@ -26,9 +29,10 @@ system falls back to dense LU:
   transient".
 
 Everything else, and every system with at most ``DENSE_MAX_N`` states, goes
-through dense LU with partial pivoting: the matrix gathered straight from
-the packed rows (``PackedMdp.dense_rows``), then LAPACK's ``dgetrf`` and
-``dgetrs``, which scipy's LU functions wrap, called directly for their bits.
+through dense LU with partial pivoting: the same gathered rows written into
+zeros by scipy's ``csr_todense`` (``CsrRows.dense``), then LAPACK's
+``dgetrf`` and ``dgetrs``, which scipy's LU functions wrap, called directly
+for their bits.
 ``solve.occupation_measure`` factorizes its transposed system
 z (I - beta P) = 1 itself: its right-hand side 1 is a left eigenvector of
 I - beta P^T, and BiCGSTAB, whose shadow residual is that right-hand side,
@@ -52,8 +56,8 @@ PIVOT_RTOL = 1e-12
 
 #: Policy systems with more states than this go to BiCGSTAB first.  One
 #: discounted evaluation of a total-dense policy (2-core x86-64 VM, BLAS on
-#: one thread, median of 200): the dense gather and LU took 0.26 ms at n = 129
-#: and 2.3 ms at n = 301, the BiCGSTAB loop 0.46 and 0.95 ms.  The pinned
+#: one thread, median of 300): the dense gather and LU took 0.16 ms at n = 129
+#: and 1.2 ms at n = 301, the BiCGSTAB loop 0.25 and 0.66 ms.  The pinned
 #: runs and golden digests depend on which path each size takes.
 DENSE_MAX_N = 256
 
@@ -94,25 +98,27 @@ def solve(a: np.ndarray, b: np.ndarray, context: str = "") -> np.ndarray:
 
 def solve_policy(table, rows: np.ndarray, b: np.ndarray, beta: float = 1.0):
     """Solve (I - beta P) x = b, ``P`` the rows ``rows`` of the packed
-    ``table``, one per state.  A large system with one right-hand side goes
-    to :func:`_krylov` on the sparse ``table.R[rows]`` first; otherwise, or
-    when that finds no bounded answer, one LU of the dense matrix built by
-    ``table.dense_rows``, by :func:`try_solve`: None when it is singular."""
+    ``table``, one per state, gathered once as CSR arrays.  A large system
+    with one right-hand side goes to :func:`_krylov` on them first;
+    otherwise, or when that finds no bounded answer, one LU of the same
+    gather made dense, by :func:`try_solve`: None when it is singular."""
     n = len(rows)
+    P = table.gather(rows)
     if n > DENSE_MAX_N and np.ndim(b) == 1:
-        x = _krylov(table.R[rows], b, beta)
+        x = _krylov(P, b, beta)
         if x is not None:
             return x
-    return try_solve(np.eye(n) - beta * table.dense_rows(rows), b)
+    return try_solve(np.eye(n) - beta * P.dense(), b)
 
 
 def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:
     """BiCGSTAB from a cold start on (I - beta P) x = b, applied through
-    ``P`` alone; return ``x`` only when the module docstring's a posteriori
-    test for its kind of system holds."""
+    the gathered rows ``P`` alone, one ``P.matvec`` per product; return
+    ``x`` only when the module docstring's a posteriori test for its kind
+    of system holds."""
 
     def apply(v):
-        return v - beta * (P @ v)
+        return v - beta * P.matvec(v)
 
     with np.errstate(all="ignore"):
         x = _bicgstab(apply, b)
@@ -120,7 +126,7 @@ def _krylov(P, b: np.ndarray, beta: float) -> np.ndarray | None:
             return None
         r = np.abs(b - apply(x))
         if beta < 1.0:
-            gain = beta * float(np.max(P @ np.ones(P.shape[0])))  # ||beta P||_inf, as P >= 0
+            gain = beta * float(np.max(P.matvec(np.ones(P.n_cols))))  # ||beta P||_inf, as P >= 0
             scale = max(1.0, float(np.max(np.abs(x))))
             ok = gain < 1.0 and np.max(r) / (1.0 - gain) <= 1e-12 * scale
         else:  # Collatz-Wielandt

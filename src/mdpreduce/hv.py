@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CertificateError, InstanceFormatError
 from .model import (
@@ -31,7 +30,6 @@ from .model import (
     _dumps_table,
     _json_block,
     _require_keys,
-    _row_sums_in_order,
     from_packed,
     instance_from_obj,
 )
@@ -112,7 +110,8 @@ def check_discounted(dmdp: DiscountedMdp) -> None:
     row = table.first[sink]
     if table.first[sink + 1] - row != 1 or table.c[row] != 0.0:
         raise ValueError("absorbing state must have exactly one cost-free action")
-    if abs(table.R[row, sink] - 1.0) > ROW_SUM_TOL:
+    lo, hi = table.indptr[row], table.indptr[row + 1]
+    if abs(table.data[lo:hi][table.indices[lo:hi] == sink].sum() - 1.0) > ROW_SUM_TOL:
         raise ValueError("absorbing state must transition to itself with probability 1")
 
 
@@ -170,34 +169,35 @@ def rescale(
 def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
     table = mdp.packed
     n, m = mdp.n_states, len(table.c)
-    R = table.R if beta else sparse.csr_matrix((m, n))  # at beta = 0 only the sink
-    mu_x, lengths = mu[table.owner], np.diff(R.indptr)
+    mu_x = mu[table.owner]
     denom = beta * mu_x
-    moved = mu[R.indices]
-    moved *= R.data
-    if beta and ell is not None:
-        surplus = mu_x - 1.0 - table.R @ mu  # csr_matvec sums mu * q in order
-    moved /= np.repeat(denom, lengths)
-    if not beta:
-        tails = [(n, np.ones(m))]
-    elif ell is None:
-        tails = [(n, 1.0 - table.row_sums(moved))]
+    if not beta:  # only the sink
+        indices, lengths = table.indices[:0], np.zeros(m, dtype=table.lengths.dtype)
+        moved, tails = table.data[:0], [(n, np.ones(m))]
     else:
-        tails = [(ell, surplus / denom), (n, 1.0 - (mu_x - 1.0) / denom)]
+        indices, lengths = table.indices, table.lengths
+        moved = mu[indices]
+        moved *= table.data
+        moved /= np.repeat(denom, lengths)
+        if ell is None:
+            tails = [(n, 1.0 - table.row_sums(moved))]
+        else:  # the surplus mu_x - 1 - R mu, its products added in order
+            surplus = mu_x - 1.0 - table.matvec(mu)
+            tails = [(ell, surplus / denom), (n, 1.0 - (mu_x - 1.0) / denom)]
 
     # row r: its own entries, then one per tail; the sink's row comes last
     k = len(tails)
     indptr = np.zeros(m + 2, dtype=np.intp)
     np.cumsum(lengths + k, out=indptr[1:-1])
     indptr[-1] = indptr[-2] + 1
-    targets = np.full(indptr[-1], n, dtype=R.indices.dtype)
+    targets = np.full(indptr[-1], n, dtype=indices.dtype)
     probs = np.ones(indptr[-1])
     own = np.ones(indptr[-1], dtype=bool)
     own[-1] = False
     for i, (target, p) in enumerate(tails):
         at = indptr[1:-1] - k + i
         targets[at], probs[at], own[at] = target, p, False
-    targets[own], probs[own] = R.indices, moved
+    targets[own], probs[own] = indices, moved
 
     negative = np.flatnonzero(probs < -CLAMP_TOL)
     if negative.size:
@@ -208,6 +208,7 @@ def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
             f"transformed probability {probs[i]:.3e} at ({x}, {mdp.action_name(x, a)}) "
             f"is genuinely negative; the certificate does not fit this instance"
         )
+    c, first = np.append(table.c / mu_x, 0.0), np.append(table.first, m + 1)
     keep = probs > 0.0
     if not keep.all():
         clamped = np.add.reduceat(probs < 0.0, indptr[:-1], dtype=np.intp) > 0
@@ -216,12 +217,9 @@ def _rescaled_table(mdp: RateMdp, mu: np.ndarray, beta: float, ell: int | None):
         np.cumsum(counts, out=indptr[1:])
         if clamped.any():
             row_of = np.repeat(np.arange(m + 1), counts)
-            kept = sparse.csr_matrix((probs, targets, indptr), shape=(m + 1, n + 1))
-            totals = _row_sums_in_order(kept)
+            totals = PackedMdp(c, first, indptr, targets, probs).row_sums()
             probs = np.where(clamped[row_of], probs / totals[row_of], probs)
-
-    P = sparse.csr_matrix((probs, targets, indptr), shape=(m + 1, n + 1))
-    return PackedMdp(np.append(table.c / mu_x, 0.0), P, np.append(table.first, m + 1))
+    return PackedMdp(c, first, indptr, targets, probs)
 
 
 def _extend_labels(labels):
@@ -296,11 +294,13 @@ def similarity_transform(mdp: RateMdp, b: np.ndarray) -> RateMdp:
     if not np.all(np.isfinite(b) & (b > 0.0)):
         raise ValueError("similarity vector must be entrywise finite and positive")
     table, names = mdp.packed, mdp.row_names()
-    R, lengths = table.R, np.diff(table.R.indptr)
+    lengths = table.lengths
     with np.errstate(over="ignore", invalid="ignore"):  # named by _checked_table
         c = b[table.owner] * table.c
-        rates = b[np.repeat(table.owner, lengths)] * R.data / b[R.indices]
-    scaled = _checked_table(mdp.n_states, np.diff(table.first), lengths, c, names, R.indices, rates)
+        rates = b[np.repeat(table.owner, lengths)] * table.data / b[table.indices]
+    scaled = _checked_table(
+        mdp.n_states, np.diff(table.first), lengths, c, names, table.indices, rates
+    )
     return from_packed(scaled, names, mdp.state_labels)
 
 

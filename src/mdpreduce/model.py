@@ -4,9 +4,13 @@ A rate MDP is a finite MDP whose transitions carry nonnegative *rates*
 rather than probabilities; row sums may be anything finite.  Everything
 that computes works on one packed table (:class:`PackedMdp`): the
 state-action rows in state-major order, their costs ``c`` and their rates
-as an m x n sparse matrix ``R``.  A Bellman-type step is then
-:meth:`PackedMdp.bellman` (``c + beta R @ v``) followed by a minimum or
-maximum over each state's rows.
+as the CSR arrays of an m x n table, which the table holds itself.  Its
+row operations call the compiled routines behind scipy's ``@``,
+``[rows]`` and ``toarray`` directly, so they add each row left to right
+as scipy does and build no scipy matrix; ``PackedMdp.R``, a scipy matrix
+over the same arrays, is built on first read.  A Bellman-type step is
+then :meth:`PackedMdp.bellman` (``c + beta R v``) followed by a minimum
+or maximum over each state's rows.
 
 An instance is either built from tuples of :class:`ActionData` (by users)
 or table-backed: the file reader, the generators, the reductions,
@@ -28,14 +32,17 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools  # the CSR kernels behind scipy's @, [rows], toarray
 
 from .errors import InstanceFormatError, NotConvergedWithinBudget, PolicyCapExceeded
 
@@ -45,6 +52,8 @@ ROW_SUM_TOL = 1e-12
 
 #: Bound on enumerable policy spaces.
 POLICY_CAP = 10**6
+
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 class RateClass(enum.Enum):
@@ -156,31 +165,91 @@ class StationaryPolicy:
         return iter(self.choice)
 
 
+class CsrRows(NamedTuple):
+    """Rows gathered from a packed table (:meth:`PackedMdp.gather`): the CSR
+    arrays ``indptr``, ``indices`` and ``data`` of ``len(indptr) - 1`` rows
+    over ``n_cols`` columns, in the order asked for."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    n_cols: int
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        """The rows times ``v``, each added left to right from 0.0."""
+        return _matvec(self.indptr, self.indices, self.data, self.n_cols, v)
+
+    def dense(self) -> np.ndarray:
+        """The rows written into zeros: the values of ``R[rows].toarray()``."""
+        out = np.zeros((len(self.indptr) - 1, self.n_cols))
+        _sparsetools.csr_todense(*out.shape, self.indptr, self.indices, self.data, out)
+        return out
+
+
 @dataclass(frozen=True, eq=False)
 class PackedMdp:
     """The state-action rows of an instance, state-major, action-minor.
 
-    ``c`` (m,) holds the costs and ``R`` the rates as an m x n CSR matrix
-    whose row entries keep the instance's transition order.  ``owner`` (m,)
-    is the state of each row, ``local`` its action index at that state, and
-    ``first`` (n + 1,) the first row of each state, with ``first[n] = m``.
+    ``c`` (m,) holds the costs, and ``indptr``, ``indices`` and ``data`` the
+    rates as the CSR arrays of an m x n table whose row entries keep the
+    instance's transition order.  ``first`` (n + 1,) is the first row of
+    each state, with ``first[n] = m``; ``lengths`` (m,) is the number of
+    entries of each row, ``owner`` (m,) the state of each row and ``local``
+    its action index at that state.  The index arrays are int32 when every
+    index and the entry count fit, else int64, as scipy chooses them.
+
+    Every row operation is one call into the compiled CSR routine that
+    scipy's own ``@``, ``[rows]`` and ``toarray`` call, so it adds each row
+    left to right and gives their bits.  ``R`` is a scipy CSR matrix over
+    the same arrays, built on first read for callers that want one.
     """
 
     c: np.ndarray
-    R: sparse.csr_matrix
     first: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    lengths: np.ndarray = field(init=False)
     owner: np.ndarray = field(init=False)
     local: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        owner = np.repeat(np.arange(len(self.first) - 1), np.diff(self.first))
+        first = np.asarray(self.first, dtype=np.intp)
+        m, n = len(self.c), len(first) - 1
+        object.__setattr__(self, "first", first)
+        index = np.int32 if max(m, n, len(self.data)) <= _INT32_MAX else np.int64
+        indptr = np.asarray(self.indptr, dtype=index)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=index))
+        object.__setattr__(self, "data", np.asarray(self.data, dtype=float))
+        object.__setattr__(self, "lengths", indptr[1:] - indptr[:-1])
+        owner = np.repeat(np.arange(n), first[1:] - first[:-1])
         object.__setattr__(self, "owner", owner)
-        object.__setattr__(self, "local", np.arange(len(self.c)) - self.first[owner])
+        object.__setattr__(self, "local", np.arange(m) - first[owner])
 
-    def bellman(self, v: np.ndarray, beta: float = 1.0) -> np.ndarray:
+    @functools.cached_property
+    def R(self) -> sparse.csr_matrix:
+        """The rates as an m x n scipy CSR matrix over the table's own arrays."""
+        shape = (len(self.c), len(self.first) - 1)
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape)
+
+    def matvec(self, v: np.ndarray, data: np.ndarray | None = None, out=None) -> np.ndarray:
+        """``R v`` (m,), with ``data`` laid out like ``self.data`` in place of
+        the rates when given: each row's products added left to right from
+        0.0, into ``out`` (zeroed first) or fresh zeros."""
+        if data is not None and np.shape(data) != self.data.shape:
+            raise ValueError(f"data has shape {np.shape(data)}, expected {self.data.shape}")
+        data = self.data if data is None else data
+        return _matvec(self.indptr, self.indices, data, len(self.first) - 1, v, out)
+
+    def bellman(self, v: np.ndarray, beta: float = 1.0, out=None) -> np.ndarray:
         """The Bellman rows ``c + beta (R v)`` (m,): each row's cost plus its
-        continuation, the rows of every discounted, total-cost and ACOE check."""
-        return self.c + beta * (self.R @ v)
+        continuation, the rows of every discounted, total-cost and ACOE
+        check.  Written into ``out`` when given."""
+        q = self.matvec(v, out=out)
+        q *= beta
+        q += self.c
+        return q
 
     def gap(self, lhs: np.ndarray, v: np.ndarray, beta: float = 1.0) -> np.ndarray:
         """``lhs(x) - [c(x,a) + beta sum_y q(y|x,a) v(y)]`` for every row.  Its
@@ -193,8 +262,8 @@ class PackedMdp:
         one per state) plus each state's largest row round-off, ``(k + 2) eps
         (|lhs(x)| + |c| + beta R|v|)``, ``k`` the row's nonzeros (rates are
         nonnegative, so ``R|v|`` is one mat-vec)."""
-        size = np.abs(lhs)[self.owner] + np.abs(self.c) + beta * (self.R @ np.abs(v))
-        slack = (np.diff(self.R.indptr) + 2) * np.finfo(float).eps * size
+        size = np.abs(lhs)[self.owner] + np.abs(self.c) + beta * self.matvec(np.abs(v))
+        slack = (self.lengths + 2) * np.finfo(float).eps * size
         return (bound + self.state_max(slack))[self.owner]
 
     def state_min(self, q: np.ndarray) -> np.ndarray:
@@ -256,38 +325,60 @@ class PackedMdp:
         rows = self.rows(phi)
         return self.R[rows], self.c[rows]
 
-    def dense_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The rows ``rows`` of ``R`` written into zeros by one fancy-index
-        assignment: no arithmetic, so the values of ``R[rows]`` made dense."""
-        R = self.R
-        starts, lengths = R.indptr[rows], np.diff(R.indptr)[rows]
-        at = np.arange(lengths.sum()) + np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        dense = np.zeros((len(rows), R.shape[1]))
-        flat = np.repeat(np.arange(0, dense.size, R.shape[1]), lengths) + R.indices[at]
-        dense.ravel()[flat] = R.data[at]
-        return dense
+    def gather(self, rows) -> CsrRows:
+        """The rows ``rows`` (in any order, repeats allowed) as CSR arrays:
+        the arrays of ``R[rows]``, copied by scipy's ``csr_row_index``."""
+        rows = np.asarray(rows)
+        lengths = self.lengths[rows]  # IndexError past the last row
+        if rows.size and rows.min() < 0:
+            raise IndexError(f"row index {rows.min()} is negative")
+        rows = rows.astype(self.indptr.dtype, copy=False)
+        indptr = np.zeros(len(rows) + 1, dtype=rows.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        indices, data = np.empty(indptr[-1], dtype=rows.dtype), np.empty(indptr[-1])
+        _sparsetools.csr_row_index(
+            len(rows), rows, self.indptr, self.indices, self.data, indices, data
+        )
+        return CsrRows(indptr, indices, data, len(self.first) - 1)
+
+    def dense_rows(self, rows) -> np.ndarray:
+        """The rows ``rows`` of ``R`` as a dense array: the gather written
+        into zeros by ``csr_todense``, the values of ``R[rows].toarray()``."""
+        return self.gather(rows).dense()
 
     def without_column(self, ell: int) -> PackedMdp:
         """The same table with every rate into state ``ell`` removed: the
         table itself when it has none, as when it is truncated already."""
-        R = self.R
-        keep = R.indices != ell
+        keep = self.indices != ell
         if keep.all():
             return self
-        indptr = np.append(0, np.cumsum(keep))[R.indptr]
-        cut = sparse.csr_matrix((R.data[keep], R.indices[keep], indptr), shape=R.shape)
-        return PackedMdp(self.c, cut, self.first)
+        indptr = np.append(0, np.cumsum(keep))[self.indptr]
+        return PackedMdp(self.c, self.first, indptr, self.indices[keep], self.data[keep])
 
     def row_sums(self, data: np.ndarray | None = None) -> np.ndarray:
-        """Sum of each row of ``R`` (or of ``data`` laid out like ``R.data``),
-        added left to right in transition order from 0.0, as Python's
-        ``sum`` did before 3.12, by one mat-vec against ones.  Transformed
-        files and the stochastic classification depend on the last digit
-        of these sums."""
-        R = self.R
-        if data is not None:
-            R = sparse.csr_matrix((data, R.indices, R.indptr), shape=R.shape)
-        return _row_sums_in_order(R)
+        """Sum of each row of ``R`` (or of ``data`` laid out like
+        ``self.data``), added left to right in transition order from 0.0,
+        as Python's ``sum`` did before 3.12, by one mat-vec against ones
+        (``q * 1.0`` is exact; ``np.add.reduceat`` sums in another order).
+        Transformed files and the stochastic classification depend on the
+        last digit of these sums."""
+        return self.matvec(np.ones(len(self.first) - 1), data)
+
+
+def _matvec(indptr, indices, data, n_cols: int, v, out=None) -> np.ndarray:
+    """``A v`` for the CSR arrays of ``A`` by scipy's ``csr_matvec``, which
+    adds into its output: into ``out`` after zeroing it, or into fresh zeros."""
+    m = len(indptr) - 1
+    if np.shape(v) != (n_cols,):
+        raise ValueError(f"vector of shape {np.shape(v)} for {n_cols} columns")
+    if out is None:
+        out = np.zeros(m)
+    elif out.shape != (m,):
+        raise ValueError(f"output of shape {out.shape} for {m} rows")
+    else:
+        out.fill(0.0)
+    _sparsetools.csr_matvec(m, n_cols, indptr, indices, data, v, out)
+    return out
 
 
 def _policy_iteration(table: PackedMdp, phi0, evaluate, improve, cap: int, stalled):
@@ -322,12 +413,6 @@ def _sum_in_order(values) -> float:
     for value in values:
         total += value
     return float(total)
-
-
-def _row_sums_in_order(R: sparse.csr_matrix) -> np.ndarray:
-    # scipy's csr_matvec adds each row's products left to right from 0.0,
-    # and q * 1.0 is exact; np.add.reduce and reduceat sum in another order
-    return R @ np.ones(R.shape[1])
 
 
 def _pack(mdp: RateMdp, rows) -> PackedMdp:
@@ -397,7 +482,7 @@ def _checked_table(n: int, counts, lengths, costs, names, targets, rates) -> Pac
     np.cumsum(counts, out=first[1:])
     indptr = np.zeros(len(c) + 1, dtype=np.intp)
     np.cumsum(lengths, out=indptr[1:])
-    return PackedMdp(c, sparse.csr_matrix((data, indices, indptr), shape=(len(c), n)), first)
+    return PackedMdp(c, first, indptr, indices, data)
 
 
 def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
@@ -414,8 +499,8 @@ def from_packed(table: PackedMdp, names, state_labels=None) -> RateMdp:
 
 
 def _actions_from_table(table: PackedMdp, names) -> tuple[tuple[ActionData, ...], ...]:
-    targets, rates = table.R.indices.tolist(), table.R.data.tolist()
-    bounds = table.R.indptr.tolist()
+    targets, rates = table.indices.tolist(), table.data.tolist()
+    bounds = table.indptr.tolist()
     rows = [
         ActionData(cost=cost, transitions=tuple(zip(targets[lo:hi], rates[lo:hi])), name=name)
         for cost, lo, hi, name in zip(table.c.tolist(), bounds, bounds[1:], names)
@@ -628,9 +713,8 @@ def _dumps_table(mdp: RateMdp, extra=()) -> str:
     with the encoded members ``extra`` after ``"actions"``, written straight
     from the packed table."""
     table = mdp.packed
-    R = table.R
-    edges = [_TRANSITION % pair for pair in zip(R.indices.tolist(), R.data.tolist())]
-    bounds = R.indptr.tolist()
+    edges = [_TRANSITION % pair for pair in zip(table.indices.tolist(), table.data.tolist())]
+    bounds = table.indptr.tolist()
     rows = []
     for cost, name, lo, hi in zip(table.c.tolist(), mdp.row_names(), bounds, bounds[1:]):
         members = [] if name is None else [f'"name": {_string(name)}']

@@ -145,22 +145,24 @@ def value_iteration(
     _check_budget(tol, max_iter)
     beta = dmdp.beta
     table = dmdp.base.packed
-    v = np.zeros(dmdp.n_states) if v0 is None else np.asarray(v0, dtype=float)
+    v = np.zeros(dmdp.n_states) if v0 is None else np.array(v0, dtype=float)
     if v.shape != (dmdp.n_states,) or not np.all(np.isfinite(v)):
         raise ValueError(f"v0 must be a finite vector of {dmdp.n_states} values")
     threshold = np.inf if beta == 0.0 else tol * (1.0 - beta) / (2.0 * beta)
     previous_delta = None
+    # each sweep writes into these, and v and tv swap after it
+    q, tv, step = np.empty(len(table.c)), np.empty_like(v), np.empty_like(v)
     for iteration in range(1, max_iter + 1):
-        q = table.bellman(v, beta)
-        tv = table.state_min(q)
-        delta = float(np.max(np.abs(tv - v)))
+        table.bellman(v, beta, out=q)
+        np.minimum.reduceat(q, table.first[:-1], out=tv)
+        delta = float(np.abs(np.subtract(tv, v, out=step), out=step).max())
         # the second test, for |v| > 1, runs only when the first fails
         if previous_delta is not None and not (
             delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15
             or delta <= beta * previous_delta * (1.0 + 1e-9) + 1e-15 * float(np.max(np.abs(tv)))
         ):
             raise NumericalError("optimality operator failed to contract")
-        v, previous_delta = tv, delta
+        v, tv, previous_delta = tv, v, delta
         if delta <= threshold:
             rows = table.first[:-1] + table.state_argmin(table.bellman(v, beta))[1]
             return _finish(dmdp, table, v, rows, iteration, "value-iteration")

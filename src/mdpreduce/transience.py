@@ -129,7 +129,7 @@ def certificate_residual(mdp: RateMdp, mu: np.ndarray) -> float:
     Positive values are violations."""
     table = mdp.packed
     mu = np.asarray(mu, dtype=float)
-    return float(np.max(1.0 + table.R @ mu - mu[table.owner]))
+    return float(np.max(1.0 + table.matvec(mu) - mu[table.owner]))
 
 
 def _evaluate(table: PackedMdp, rows: np.ndarray):
@@ -178,7 +178,7 @@ def _greedy_lifetime_improvement(table: PackedMdp, rows: np.ndarray, tau):
     relative because the round-off in 1 + R tau grows with tau: at K = 1e6
     it is a few ulps of 1e6, about 1e-9, which no absolute 1e-12 can
     absorb."""
-    low, best = table.state_argmin(-(1.0 + table.R @ tau))
+    low, best = table.state_argmin(-(1.0 + table.matvec(tau)))
     better = np.where(-low > tau * (1.0 + IMPROVE_TOL), table.first[:-1] + best, rows)
     return better if np.any(better != rows) else None
 
@@ -226,7 +226,7 @@ def mu_value_iteration(
     u = np.zeros(mdp.n_states)
     delta = np.inf
     for iteration in range(1, max_iter + 1):
-        nxt = table.state_max(1.0 + table.R @ u)
+        nxt = table.state_max(1.0 + table.matvec(u))
         if not np.all(nxt >= u):
             raise NumericalError("lifetime iterates must be nondecreasing")
         delta = float(np.max(nxt - u))

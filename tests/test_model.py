@@ -236,9 +236,8 @@ class TestPackedTable:
         lengths = [len(row) for row in rows]
         indptr = np.append(0, np.cumsum(lengths))
         data = np.array([q for row in rows for q in row])
-        indices = np.concatenate([np.arange(k) for k in lengths])
-        R = sparse.csr_matrix((data, indices, indptr), shape=(len(rows), max(lengths)))
-        table = PackedMdp(np.zeros(len(rows)), R, np.arange(len(rows) + 1))
+        indices = np.zeros(len(data), dtype=np.intp)  # a row sum reads no target
+        table = PackedMdp(np.zeros(len(rows)), np.arange(len(rows) + 1), indptr, indices, data)
         expected = []
         for row in rows:
             total = 0.0
@@ -413,7 +412,7 @@ def _packed(counts):
     """A packed table with ``counts[x]`` rows at state ``x`` and no rates."""
     first = np.concatenate(([0], np.cumsum(counts))).astype(np.intp)
     m = int(first[-1])
-    return PackedMdp(np.zeros(m), sparse.csr_matrix((m, len(counts))), first)
+    return PackedMdp(np.zeros(m), first, np.zeros(m + 1, dtype=np.intp), [], [])
 
 
 def _split_sets(table, gap, tol):
